@@ -11,6 +11,10 @@ their targets:
   one-worker warm pool must stay within 1.1× of the in-process serial
   path. On a single-core CI runner a speedup is impossible, so overhead
   is the honest parallel-runner metric (see ``bench_sweep.py``).
+* **Bin-packing placement** — ``BinPackingPlacement.assign`` on the
+  fig15 population at 1000 nodes takes ≤ 1 s. Placement scores each
+  member once per distinct node spec and worst-fits on a heap; a
+  return to per-(member, node) scoring costs minutes here.
 
 Methodology matches the bench: full-grid warmup on both paths first
 (worker spawn and cache fills are one-off costs the warm pool exists to
@@ -33,13 +37,18 @@ import sys
 import time
 from typing import List, Optional
 
+from repro.datacenter.placement import BinPackingPlacement
 from repro.experiments.common import canonical_mix, make_collocation
+from repro.experiments.fig15_datacenter import build_population
 from repro.obs.metrics import MetricsRegistry
 from repro.parallel import RunPoint, run_many
+from repro.server.spec import NodeSpec
 
 DECIDE_MEAN_BUDGET_US = 50.0
 DECIDE_P99_BUDGET_US = 500.0
 POOL_OVERHEAD_BUDGET = 1.1
+PLACEMENT_NODES = 1000
+PLACEMENT_BUDGET_S = 1.0
 
 
 def gate_clite_decide(duration_s: float, repeats: int) -> List[str]:
@@ -114,6 +123,27 @@ def gate_pool_overhead(duration_s: float, repeats: int) -> List[str]:
     return []
 
 
+def gate_placement(repeats: int) -> List[str]:
+    """Bin-packing ``assign`` wall time at 1000 nodes, best of ``repeats``."""
+    members = build_population(PLACEMENT_NODES)
+    specs = (NodeSpec(),) * PLACEMENT_NODES
+    best_s = float("inf")
+    for _ in range(repeats):
+        start = time.perf_counter()
+        BinPackingPlacement().assign(members, specs)
+        best_s = min(best_s, time.perf_counter() - start)
+    print(
+        f"bin-packing assign ({PLACEMENT_NODES} nodes, {len(members)} members): "
+        f"{best_s:.3f}s (best of {repeats})"
+    )
+    if best_s > PLACEMENT_BUDGET_S:
+        return [
+            f"bin-packing assign {best_s:.3f}s at {PLACEMENT_NODES} nodes "
+            f"exceeds the {PLACEMENT_BUDGET_S:.0f}s budget"
+        ]
+    return []
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -139,6 +169,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     failures = gate_clite_decide(args.decide_duration, args.repeats)
     failures += gate_pool_overhead(args.pool_duration, args.repeats)
+    failures += gate_placement(args.repeats)
     if failures:
         for failure in failures:
             print(f"PERF GATE FAILED: {failure}", file=sys.stderr)

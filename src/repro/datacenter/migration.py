@@ -28,12 +28,27 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.datacenter.placement import Assignment, _is_lc, _member_pressure
+from repro.datacenter.placement import (
+    Assignment,
+    _is_lc,
+    _member_demand,
+    _member_pressure,
+    _share,
+)
 from repro.errors import ConfigurationError
 from repro.server.spec import NodeSpec
 from repro.workloads.loadgen import TimeShiftedLoad
+
+
+def _demand_at(member: object, now_s: float, horizon_s: float) -> Tuple[float, float]:
+    """A member's ``(cores, GB/s)`` demand over ``[now_s, now_s + horizon_s]``."""
+    if _is_lc(member):
+        member = replace(
+            member, load=TimeShiftedLoad(trace=member.load, offset_s=now_s)
+        )
+    return _member_demand(member, horizon_s)
 
 
 def _pressure_at(
@@ -52,11 +67,7 @@ def _pressure_at(
     """
     total = 0.0
     for member in members:
-        if _is_lc(member):
-            member = replace(
-                member, load=TimeShiftedLoad(trace=member.load, offset_s=now_s)
-            )
-        total += _member_pressure(member, spec, horizon_s)
+        total += _share(_demand_at(member, now_s, horizon_s), spec)
     return total
 
 
@@ -289,6 +300,9 @@ class EntropyGuidedMigration(MigrationPolicy):
             ),
             key=lambda node: (pressures[node], scores[node], node),
         )
+        # A hog's weight depends only on the recipient's spec, so each
+        # donor weighs its hogs once per distinct spec among recipients.
+        kinds: Dict[NodeSpec, None] = dict.fromkeys(specs[node] for node in recipients)
         for donor in donors:
             candidates = [
                 recipient
@@ -302,8 +316,19 @@ class EntropyGuidedMigration(MigrationPolicy):
                 (m for m in buckets[donor] if not _is_lc(m)),
                 key=lambda m: (-_member_pressure(m, specs[donor]), m.name),
             )
+            # Hogs are BE members: their demand is load-trace independent,
+            # so the cached node pressure plus the hog's weight is exact.
+            demands = [_member_demand(hog, horizon_s) for hog in hogs]
+            weights = {
+                spec: [_share(demand, spec) for demand in demands] for spec in kinds
+            }
+            lightest = min(min(row) for row in weights.values())
             for recipient in candidates:
-                for hog in hogs:
+                # Recipients come lightest first: once even the lightest
+                # hog overflows this one, it overflows every later one.
+                if pressures[recipient] + lightest > 1.0 + 1e-9:
+                    break
+                for hog, weight in zip(hogs, weights[specs[recipient]]):
                     # Capacity guard over the *next epoch's* load window
                     # (E_S stays the ranking signal): the recipient with
                     # the hog added must genuinely fit inside the node —
@@ -313,13 +338,7 @@ class EntropyGuidedMigration(MigrationPolicy):
                     # merely well-protected); parking the hog there, or
                     # making any merely-lateral move, just starves the
                     # hog and trades E_LC noise for real E_BE loss.
-                    # Hogs are BE members — their pressure is load-trace
-                    # independent, so the cached node pressure plus the
-                    # hog's own weight is exact.
-                    after = pressures[recipient] + _member_pressure(
-                        hog, specs[recipient], horizon_s
-                    )
-                    if after <= 1.0 + 1e-9:
+                    if pressures[recipient] + weight <= 1.0 + 1e-9:
                         return Move(
                             member=hog.name,
                             source=donor,

@@ -36,8 +36,8 @@ import os
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
-from repro.datacenter.migration import Move, _pressure_at
-from repro.datacenter.placement import Assignment, _is_lc
+from repro.datacenter.migration import Move, _demand_at, _pressure_at
+from repro.datacenter.placement import Assignment, _is_lc, _share, _spec_kinds
 from repro.datacenter.shard import NodeEpochSummary
 from repro.errors import ConfigurationError
 from repro.server.spec import NodeSpec
@@ -305,23 +305,27 @@ def failover_moves(
         node: _pressure_at(buckets[node], specs[node], now_s, horizon_s)
         for node in survivors
     }
+    # A tenant's weight depends only on the survivor's spec: weigh each
+    # tenant once per distinct spec, then look survivors up by kind.
+    kinds, kind_of = _spec_kinds(specs)
     moves: List[Move] = []
     for source in sorted(down_set):
         if source >= len(buckets) or not buckets[source]:
             continue
+        weights = {}
+        for tenant in buckets[source]:
+            demand = _demand_at(tenant, now_s, horizon_s)
+            weights[tenant.name] = [_share(demand, spec) for spec in kinds]
         tenants = sorted(
             buckets[source],
             key=lambda m: (
                 0 if _is_lc(m) else 1,
-                -_pressure_at([m], specs[source], now_s, horizon_s),
+                -weights[m.name][kind_of[source]],
                 m.name,
             ),
         )
         for tenant in tenants:
-            weight = {
-                node: _pressure_at([tenant], specs[node], now_s, horizon_s)
-                for node in survivors
-            }
+            row = weights[tenant.name]
             ranked = sorted(
                 survivors,
                 key=lambda node: (scores.get(node, 0.0), pressures[node], node),
@@ -330,7 +334,7 @@ def failover_moves(
                 (
                     node
                     for node in ranked
-                    if pressures[node] + weight[node] <= 1.0 + 1e-9
+                    if pressures[node] + row[kind_of[node]] <= 1.0 + 1e-9
                 ),
                 None,
             )
@@ -340,7 +344,7 @@ def failover_moves(
                 m for m in buckets[source] if m.name != tenant.name
             ]
             buckets[target].append(tenant)
-            pressures[target] += weight[target]
+            pressures[target] += row[kind_of[target]]
             gap = scores.get(source, 0.0) - scores.get(target, 0.0)
             moves.append(
                 Move(

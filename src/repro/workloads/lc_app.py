@@ -24,7 +24,7 @@ paper for each application:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 from repro.errors import ConfigurationError, ModelError
@@ -34,7 +34,7 @@ from repro.server.llc import MissRatioCurve
 from repro.types import AppKind, QoSTarget
 from repro.workloads.base import ApplicationProfile
 
-#: Memoised reserve_cores results — (name, wall, load, safety) → cores.
+#: Memoised reserve_cores results — (model fields, load, safety) → cores.
 _RESERVE_CACHE: dict = {}
 
 
@@ -228,18 +228,24 @@ class LCProfile(ApplicationProfile):
         """Smallest core count keeping the tail below ``safety × M_i``.
 
         Solved by bisection at the reference cache/bandwidth state and
-        memoised per (load, safety). Applications whose thresholds are
-        tight relative to their request rate (e.g. Silo: millisecond
-        budget, tens of requests per second) legitimately need far more
-        reserved capacity than their raw utilisation suggests — keeping
-        the waiting probability under the QoS percentile's survival level
-        requires low utilisation.
+        memoised per (model, load, safety): the model is every profile
+        field except the display ``name``, so renamed replicas share one
+        entry while a profile with any model field changed gets its own.
+        Applications whose thresholds are tight relative to their request
+        rate (e.g. Silo: millisecond budget, tens of requests per second)
+        legitimately need far more reserved capacity than their raw
+        utilisation suggests — keeping the waiting probability under the
+        QoS percentile's survival level requires low utilisation.
         """
         if not 0 < safety <= 1:
             raise ModelError(f"{self.name}: safety must be in (0, 1]")
         if load_fraction < 0:
             raise ModelError(f"{self.name}: load fraction cannot be negative")
-        key = (self.name, self.wall_rps, round(load_fraction, 6), safety)
+        key = (
+            tuple(getattr(self, name) for name in _MODEL_FIELDS),
+            round(load_fraction, 6),
+            safety,
+        )
         cached = _RESERVE_CACHE.get(key)
         if cached is not None:
             return cached
@@ -264,6 +270,10 @@ class LCProfile(ApplicationProfile):
         reserve = min(threads, max(0.05, reserve))
         _RESERVE_CACHE[key] = reserve
         return reserve
+
+
+#: The fields a reservation depends on: all but the display name.
+_MODEL_FIELDS = tuple(f.name for f in fields(LCProfile) if f.name != "name")
 
 
 def calibrate_lc_profile(

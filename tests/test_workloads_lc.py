@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.errors import ConfigurationError, ModelError
 from repro.perfmodel.missratio import curve_from_sensitivity
 from repro.workloads.catalog import LC_APPLICATIONS, lc_profile
-from repro.workloads.lc_app import calibrate_lc_profile
+from repro.workloads.lc_app import _RESERVE_CACHE, calibrate_lc_profile
 
 #: Table IV of the paper: thresholds (ms) and max loads (QPS).
 TABLE_IV = {
@@ -154,3 +156,22 @@ class TestCalibrationFunction:
         )
         assert profile.ideal_latency_ms(0.2) == pytest.approx(2.0, rel=0.01)
         assert profile.tail_latency_ms(1.0, 2, 20.0) == pytest.approx(6.0, rel=0.01)
+
+
+class TestReserveCoresMemo:
+    """The reservation memo is keyed on the model, not the display name."""
+
+    def test_changed_threshold_is_not_served_the_original(self):
+        xapian = lc_profile("xapian")
+        tight = replace(xapian, threshold_ms=xapian.threshold_ms / 2)
+        original = xapian.reserve_cores(0.3)
+        assert tight.reserve_cores(0.3) > original
+        assert xapian.reserve_cores(0.3) == original
+
+    def test_renamed_replica_shares_the_entry(self):
+        xapian = lc_profile("xapian")
+        original = xapian.reserve_cores(0.45)
+        entries = len(_RESERVE_CACHE)
+        replica = replace(xapian, name="xapian-0007")
+        assert replica.reserve_cores(0.45) == original
+        assert len(_RESERVE_CACHE) == entries
