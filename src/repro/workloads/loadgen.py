@@ -2,7 +2,8 @@
 
 The paper evaluates constant loads (§VI-A) and a fluctuating Xapian load
 (§VI-B, Fig. 13: 250 seconds sweeping 10% → 90% and back). A trace maps
-simulation time (seconds) to a load fraction in [0, 1].
+simulation time (seconds) to a load fraction in [0, 1], and reports its
+exact peak over any closed interval (:meth:`LoadTrace.peak`).
 """
 
 from __future__ import annotations
@@ -21,6 +22,14 @@ class LoadTrace(abc.ABC):
     @abc.abstractmethod
     def fraction(self, time_s: float) -> float:
         """Load fraction in [0, 1] at simulation time ``time_s``."""
+
+    @abc.abstractmethod
+    def peak(self, t0_s: float, t1_s: float) -> float:
+        """Exact maximum load over the closed interval ``[t0_s, t1_s]``.
+
+        Computed from the trace's shape (breakpoints, crests), not by
+        sampling, so a spike of any width inside the interval counts.
+        """
 
     def __call__(self, time_s: float) -> float:
         value = self.fraction(time_s)
@@ -44,6 +53,9 @@ class ConstantLoad(LoadTrace):
     def fraction(self, time_s: float) -> float:
         return self.level
 
+    def peak(self, t0_s: float, t1_s: float) -> float:
+        return self.level
+
 
 @dataclass(frozen=True)
 class StepLoad(LoadTrace):
@@ -62,6 +74,13 @@ class StepLoad(LoadTrace):
 
     def fraction(self, time_s: float) -> float:
         return self.before if time_s < self.at_s else self.after
+
+    def peak(self, t0_s: float, t1_s: float) -> float:
+        if t1_s < self.at_s:
+            return self.before
+        if t0_s >= self.at_s:
+            return self.after
+        return max(self.before, self.after)
 
 
 @dataclass(frozen=True)
@@ -100,6 +119,13 @@ class PiecewiseLoad(LoadTrace):
                 break
         return level
 
+    def peak(self, t0_s: float, t1_s: float) -> float:
+        # The level at t0, then every segment starting inside (t0, t1].
+        return max(
+            [self.fraction(t0_s)]
+            + [level for start, level in self.segments if t0_s < start <= t1_s]
+        )
+
 
 @dataclass(frozen=True)
 class FluctuatingLoad(LoadTrace):
@@ -131,6 +157,19 @@ class FluctuatingLoad(LoadTrace):
         index = int(time_s // self.plateau_s) % len(self.levels)
         return self.levels[index]
 
+    def peak(self, t0_s: float, t1_s: float) -> float:
+        if t1_s < 0:
+            return self.levels[0]
+        first = int(max(t0_s, 0.0) // self.plateau_s)
+        last = int(t1_s // self.plateau_s)
+        if last - first + 1 >= len(self.levels):
+            return max(self.levels)
+        count = len(self.levels)
+        levels = [self.levels[index % count] for index in range(first, last + 1)]
+        if t0_s < 0:
+            levels.append(self.levels[0])
+        return max(levels)
+
 
 @dataclass(frozen=True)
 class TimeShiftedLoad(LoadTrace):
@@ -148,6 +187,9 @@ class TimeShiftedLoad(LoadTrace):
 
     def fraction(self, time_s: float) -> float:
         return self.trace.fraction(time_s + self.offset_s)
+
+    def peak(self, t0_s: float, t1_s: float) -> float:
+        return self.trace.peak(t0_s + self.offset_s, t1_s + self.offset_s)
 
 
 @dataclass(frozen=True)
@@ -171,3 +213,13 @@ class DiurnalLoad(LoadTrace):
     def fraction(self, time_s: float) -> float:
         phase = math.sin(2.0 * math.pi * time_s / self.period_s)
         return self.low + (self.high - self.low) * 0.5 * (1.0 + phase)
+
+    def peak(self, t0_s: float, t1_s: float) -> float:
+        # Crests sit at period/4 + k·period. Without one inside the
+        # interval the sinusoid only falls, rises, or dips to a trough
+        # there, so one of the two ends is the peak.
+        quarter = self.period_s / 4.0
+        crest = quarter + math.ceil((t0_s - quarter) / self.period_s) * self.period_s
+        if crest <= t1_s:
+            return self.high
+        return max(self.fraction(t0_s), self.fraction(t1_s))

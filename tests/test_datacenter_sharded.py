@@ -34,7 +34,7 @@ from repro.errors import ConfigurationError
 from repro.schedulers import ARQScheduler, UnmanagedScheduler
 from repro.server.spec import NodeSpec, PAPER_NODE
 from repro.workloads.catalog import lc_profile
-from repro.workloads.loadgen import DiurnalLoad, StepLoad
+from repro.workloads.loadgen import DiurnalLoad, PiecewiseLoad, StepLoad
 
 
 class FixedPlacement(Placement):
@@ -192,6 +192,10 @@ class TestPeakLoadPressure:
         assert peak_load(ramp, horizon_s=600.0) == 0.9
         # A non-positive horizon degenerates to the instantaneous load.
         assert peak_load(ramp, horizon_s=0.0) == 0.05
+
+    def test_peak_load_sees_a_spike_between_grid_points(self):
+        spiky = PiecewiseLoad.of((0, 0.2), (3, 0.9), (8, 0.2))
+        assert peak_load(spiky, 600) == 0.9
 
     def test_ramping_member_scores_like_its_peak(self):
         ramp = LCMember(

@@ -14,6 +14,7 @@ from repro.workloads.loadgen import (
     FluctuatingLoad,
     PiecewiseLoad,
     StepLoad,
+    TimeShiftedLoad,
 )
 from repro.workloads.zipf import ZipfSampler, service_time_multipliers
 
@@ -133,6 +134,79 @@ class TestLoadTraces:
     def test_fluctuating_always_valid(self, time_s):
         trace = FluctuatingLoad()
         assert 0.0 <= trace(time_s) <= 1.0
+
+
+def grid_max(trace, t0, t1, points=2001):
+    """Largest sampled load on an even grid over ``[t0, t1]``."""
+    return max(trace(t) for t in np.linspace(t0, t1, points))
+
+
+class TestExactPeak:
+    """``LoadTrace.peak`` is exact over a closed interval, spikes included."""
+
+    def test_constant(self):
+        assert ConstantLoad(0.4).peak(0.0, 600.0) == 0.4
+
+    def test_step_counts_the_closed_right_end(self):
+        trace = StepLoad(before=0.2, after=0.8, at_s=10.0)
+        assert trace.peak(0.0, 9.99) == 0.2
+        assert trace.peak(0.0, 10.0) == 0.8
+        assert trace.peak(10.0, 20.0) == 0.8
+        assert StepLoad(before=0.8, after=0.2, at_s=10.0).peak(10.0, 20.0) == 0.2
+
+    def test_piecewise_sees_a_spike_between_grid_points(self):
+        spiky = PiecewiseLoad.of((0, 0.2), (3, 0.9), (8, 0.2))
+        assert spiky.peak(0.0, 600.0) == 0.9
+        assert spiky.peak(8.0, 600.0) == 0.2
+        assert spiky.peak(5.0, 6.0) == 0.9
+
+    def test_fluctuating_plateaus(self):
+        trace = FluctuatingLoad()
+        assert trace.peak(0.0, 99.0) == 0.7
+        assert trace.peak(0.0, 100.0) == 0.9
+        assert trace.peak(130.0, 240.0) == 0.7
+        assert trace.peak(240.0, 260.0) == 0.3  # wraps to the first plateau
+        assert trace.peak(-5.0, 1.0) == 0.1
+        assert trace.peak(0.0, 1e4) == 0.9
+
+    def test_diurnal_crest_inside_or_an_end(self):
+        trace = DiurnalLoad(low=0.1, high=0.9, period_s=100.0)
+        assert trace.peak(0.0, 25.0) == 0.9  # crest at 25 s
+        assert trace.peak(30.0, 60.0) == trace(30.0)  # falling
+        assert trace.peak(60.0, 95.0) == trace(95.0)  # rising
+        assert trace.peak(40.0, 110.0) == max(trace(40.0), trace(110.0))
+        assert trace.peak(126.0, 224.0) == max(trace(126.0), trace(224.0))
+        assert trace.peak(124.0, 126.0) == 0.9
+
+    def test_time_shift_delegates(self):
+        spiky = PiecewiseLoad.of((0, 0.2), (3, 0.9), (8, 0.2))
+        assert TimeShiftedLoad(trace=spiky, offset_s=5.0).peak(0.0, 1.0) == 0.9
+        assert TimeShiftedLoad(trace=spiky, offset_s=8.0).peak(0.0, 100.0) == 0.2
+
+    @given(
+        st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=6),
+        st.floats(min_value=0.0, max_value=50.0),
+        st.floats(min_value=0.0, max_value=50.0),
+    )
+    def test_piecewise_peak_bounds_every_sample(self, levels, t0, width):
+        trace = PiecewiseLoad.of(*((7.0 * i, level) for i, level in enumerate(levels)))
+        peak = trace.peak(t0, t0 + width)
+        assert peak >= grid_max(trace, t0, t0 + width, points=101)
+        assert peak in levels
+
+    @given(
+        st.floats(min_value=0.0, max_value=0.5),
+        st.floats(min_value=0.5, max_value=1.0),
+        st.floats(min_value=-500.0, max_value=500.0),
+        st.floats(min_value=0.0, max_value=300.0),
+    )
+    def test_diurnal_peak_bounds_every_sample(self, low, high, t0, width):
+        trace = DiurnalLoad(low=low, high=high, period_s=240.0)
+        peak = trace.peak(t0, t0 + width)
+        assert grid_max(trace, t0, t0 + width) <= peak + 1e-12
+        assert peak <= high
+        if width >= 240.0:
+            assert peak == high
 
 
 class TestZipf:
