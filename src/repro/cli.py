@@ -62,6 +62,10 @@ of the built-in campaigns (``telemetry-dropout``, ``chaos``, ...). Fault
 effects are pure functions of the simulated clock, so faulted runs stay
 bit-reproducible. ``experiment ... --quick`` runs an experiment's reduced
 smoke-test sweep.
+
+Errors: any :class:`~repro.errors.ReproError` (bad configuration, unknown
+preset, ...) prints one ``error: <message>`` line to stderr and exits
+with status 2.
 """
 
 from __future__ import annotations
@@ -79,7 +83,7 @@ from repro.check.golden import (
     record_cases,
 )
 from repro.check.invariants import littles_law_report
-from repro.errors import FaultError
+from repro.errors import FaultError, ReproError
 from repro.experiment.design import DESIGN_NAMES
 from repro.experiments.common import (
     MIX_PRESETS,
@@ -855,7 +859,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         "windows": _command_windows,
         "datacenter": _command_datacenter,
     }
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except ReproError as error:
+        # Bad input or a failed model check: one line, not a traceback.
+        print(f"error: {error}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -22,7 +22,7 @@ how hard everyone is pushing (the loads), compute what each application
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional
+from typing import Dict, Mapping, Optional, Tuple
 
 from repro.errors import SchedulingError
 from repro.schedulers.base import RegionPlan, SchedulerContext
@@ -75,11 +75,21 @@ class EffectiveResources:
 
 @dataclass
 class ContentionState:
-    """Warm-up state carried across epochs."""
+    """Warm-up state carried across epochs.
+
+    ``fixed_point`` remembers the last call that left the three warm-up
+    dicts unchanged: its context, plan, loads, the state dicts it left
+    and its result. A call with the same inputs against the same dicts
+    is that computation again, so :func:`resolve_contention` returns the
+    remembered result instead of recomputing it.
+    """
 
     effective_ways: Dict[str, float] = field(default_factory=dict)
     previous_cores: Dict[str, float] = field(default_factory=dict)
     previous_plan_ways: Dict[str, float] = field(default_factory=dict)
+    fixed_point: Optional[tuple] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
 
 def _core_allocation(
@@ -87,8 +97,9 @@ def _core_allocation(
     plan: RegionPlan,
     loads: Mapping[str, float],
     previous_ways: Mapping[str, float],
-) -> Dict[str, float]:
-    """Per-application effective cores (isolated + shared grant + burst).
+) -> Tuple[Dict[str, float], float]:
+    """Per-application effective cores (isolated + shared grant + burst),
+    and the fair-pool scheduling delay in milliseconds.
 
     An LC application's core demand is scaled by its current execution-time
     stretch (estimated from last epoch's effective cache): a cache-squeezed
@@ -204,8 +215,32 @@ def resolve_contention(
     ``state`` carries cache warm-up and change-detection across epochs;
     pass ``None`` for a stateless steady-state resolution (used by
     analytic experiments that do not care about transients).
+
+    With a ``state``, a call whose context and plan are the same objects
+    as the state's last fixed point, whose loads compare equal to it and
+    whose warm-up dicts are still the ones that call left, returns that
+    call's result dict unchanged (callers must not mutate it).
     """
     plan.validate(context.node)
+    if state is not None and state.fixed_point is not None:
+        (
+            last_context,
+            last_plan,
+            last_loads,
+            last_ways,
+            last_cores,
+            last_plan_ways,
+            last_results,
+        ) = state.fixed_point
+        if (
+            last_context is context
+            and last_plan is plan
+            and last_ways is state.effective_ways
+            and last_cores is state.previous_cores
+            and last_plan_ways is state.previous_plan_ways
+            and last_loads == loads
+        ):
+            return last_results
     profiles = {**context.lc_profiles, **context.be_profiles}
     for name in sorted(plan.shared_members):
         if name not in profiles:
@@ -301,9 +336,28 @@ def resolve_contention(
         )
 
     if transient:
-        state.effective_ways = {name: r.ways for name, r in results.items()}
-        state.previous_cores = dict(cores)
-        state.previous_plan_ways = {
+        effective = {name: r.ways for name, r in results.items()}
+        plan_ways = {
             name: plan.isolated_of(name).llc_ways for name in context.app_names
         }
+        if (
+            effective == state.effective_ways
+            and cores == state.previous_cores
+            and plan_ways == state.previous_plan_ways
+        ):
+            # A fixed point: the state this call leaves is the state it
+            # read, so the same inputs next epoch give this same result.
+            state.fixed_point = (
+                context,
+                plan,
+                dict(loads),
+                state.effective_ways,
+                state.previous_cores,
+                state.previous_plan_ways,
+                results,
+            )
+        else:
+            state.effective_ways = effective
+            state.previous_cores = dict(cores)
+            state.previous_plan_ways = plan_ways
     return results

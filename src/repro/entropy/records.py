@@ -15,23 +15,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-import numpy as np
-
 from repro.entropy import aggregate, tolerance
 from repro.errors import ModelError
-
-
-def _ordered_sum(values: Sequence[float]) -> float:
-    """Left-to-right scalar sum (what ``sum()`` over a generator does).
-
-    The vectorised breakdown must reproduce the scalar path bit for bit,
-    and ``np.sum`` uses pairwise summation whose rounding differs from a
-    sequential accumulation — so reductions go through this helper.
-    """
-    total = 0.0
-    for value in values:
-        total += value
-    return total
 
 
 @dataclass(frozen=True)
@@ -171,15 +156,15 @@ class SystemObservation:
     ) -> EntropyBreakdown:
         """Compute the full Table II-style summary for this epoch.
 
-        Runs a vectorised single pass over the observations (the scalar
-        route recomputes Eqs. (1)-(4) with per-call validation roughly ten
-        times per epoch). Inputs that fail the vectorised validation fall
-        back to :meth:`breakdown_scalar`, which raises the precise
-        per-quantity :class:`~repro.errors.ModelError` the equations
-        define; valid inputs produce bit-identical results either way.
+        Runs one scalar pass over the observations (the scalar route
+        recomputes Eqs. (1)-(4) with per-call validation roughly ten times
+        per epoch). Inputs that fail the pass's validation fall back to
+        :meth:`breakdown_scalar`, which raises the precise per-quantity
+        :class:`~repro.errors.ModelError` the equations define; valid
+        inputs produce bit-identical results either way.
         """
         ri = self._effective_ri(relative_importance)
-        fast = self._breakdown_vectorised(ri)
+        fast = self._breakdown_fast(ri)
         if fast is not None:
             return fast
         return self.breakdown_scalar(relative_importance)
@@ -193,71 +178,82 @@ class SystemObservation:
         the oracle its equivalence tests compare against.
         """
         ri = self._effective_ri(relative_importance)
+        e_lc = self.lc_entropy()  # validates every LC sample first
+        e_be = self.be_entropy()
+        e_s = self.system_entropy(ri)
         n = len(self.lc)
+        # Plain left-to-right sums (CPython 3.12+ compensates float sum()).
+        tolerance = suffered = remaining = 0.0
+        for o in self.lc:
+            tolerance += o.tolerance
+            suffered += o.suffered
+            remaining += o.remaining
         return EntropyBreakdown(
-            e_lc=self.lc_entropy(),
-            e_be=self.be_entropy(),
-            e_s=self.system_entropy(ri),
+            e_lc=e_lc,
+            e_be=e_be,
+            e_s=e_s,
             relative_importance=ri,
-            mean_tolerance=(sum(o.tolerance for o in self.lc) / n) if n else 0.0,
-            mean_suffered=(sum(o.suffered for o in self.lc) / n) if n else 0.0,
-            mean_remaining=(sum(o.remaining for o in self.lc) / n) if n else 0.0,
+            mean_tolerance=tolerance / n if n else 0.0,
+            mean_suffered=suffered / n if n else 0.0,
+            mean_remaining=remaining / n if n else 0.0,
             yield_fraction=self.yield_fraction(),
         )
 
-    def _breakdown_vectorised(
-        self, ri: float
-    ) -> Optional[EntropyBreakdown]:
-        """Eqs. (1)-(7) in one elementwise pass; ``None`` on invalid input.
+    def _breakdown_fast(self, ri: float) -> Optional[EntropyBreakdown]:
+        """Eqs. (1)-(7) in one scalar pass; ``None`` on invalid input.
 
-        Elementwise arithmetic matches the scalar equations operation for
-        operation, and every reduction is a left-to-right scalar sum
-        (:func:`_ordered_sum`), so results are bit-identical to
-        :meth:`breakdown_scalar` whenever that path would succeed.
+        Each sample is validated once, then the four per-application
+        quantities are the expressions of :mod:`repro.entropy.tolerance`
+        (same operations, same order) and every mean is a left-to-right
+        sum, as in the scalar route. Results are therefore bit-identical
+        to :meth:`breakdown_scalar` whenever that path would succeed.
         """
+        isfinite = math.isfinite
         n_lc = len(self.lc)
         if n_lc:
-            ideal = np.array([o.ideal_ms for o in self.lc], dtype=float)
-            measured = np.array([o.measured_ms for o in self.lc], dtype=float)
-            threshold = np.array([o.threshold_ms for o in self.lc], dtype=float)
-            valid = (
-                np.isfinite(ideal).all()
-                and np.isfinite(measured).all()
-                and np.isfinite(threshold).all()
-                and (ideal > 0).all()
-                and (measured > 0).all()
-                and (threshold > 0).all()
-                and (ideal <= threshold).all()
-            )
-            if not valid:
-                return None
-            tol = 1.0 - ideal / threshold  # A_i (Eq. 1)
-            suf = np.where(measured < ideal, 0.0, 1.0 - ideal / measured)  # R_i
-            rem = np.where(tol > suf, 1.0 - measured / threshold, 0.0)  # ReT_i
-            q = np.where(suf > tol, 1.0 - threshold / measured, 0.0)  # Q_i
-            e_lc = _ordered_sum(q.tolist()) / n_lc
-            mean_tolerance = _ordered_sum(tol.tolist()) / n_lc
-            mean_suffered = _ordered_sum(suf.tolist()) / n_lc
-            mean_remaining = _ordered_sum(rem.tolist()) / n_lc
-            yield_fraction = int((measured <= threshold).sum()) / n_lc
+            q_sum = tolerance_sum = suffered_sum = remaining_sum = 0.0
+            satisfied = 0
+            for o in self.lc:
+                ideal = o.ideal_ms
+                measured = o.measured_ms
+                threshold = o.threshold_ms
+                if not (
+                    isfinite(ideal)
+                    and isfinite(measured)
+                    and isfinite(threshold)
+                    and ideal > 0
+                    and measured > 0
+                    and threshold > 0
+                    and ideal <= threshold
+                ):
+                    return None
+                tol = 1.0 - ideal / threshold  # A_i (Eq. 1)
+                suf = 0.0 if measured < ideal else 1.0 - ideal / measured  # R_i
+                q_sum += 1.0 - threshold / measured if suf > tol else 0.0  # Q_i
+                tolerance_sum += tol
+                suffered_sum += suf
+                remaining_sum += 1.0 - measured / threshold if tol > suf else 0.0
+                if measured <= threshold:
+                    satisfied += 1
+            e_lc = q_sum / n_lc
+            mean_tolerance = tolerance_sum / n_lc
+            mean_suffered = suffered_sum / n_lc
+            mean_remaining = remaining_sum / n_lc
+            yield_fraction = satisfied / n_lc
         else:
             e_lc = 0.0
             mean_tolerance = mean_suffered = mean_remaining = 0.0
             yield_fraction = 1.0
         n_be = len(self.be)
         if n_be:
-            solo = np.array([o.ipc_solo for o in self.be], dtype=float)
-            real = np.array([o.ipc_real for o in self.be], dtype=float)
-            valid = (
-                np.isfinite(solo).all()
-                and np.isfinite(real).all()
-                and (solo > 0).all()
-                and (real > 0).all()
-            )
-            if not valid:
-                return None
-            slowdown = np.maximum(1.0, solo / real)
-            e_be = 1.0 - n_be / _ordered_sum(slowdown.tolist())
+            slowdown_sum = 0.0
+            for o in self.be:
+                solo = o.ipc_solo
+                real = o.ipc_real
+                if not (isfinite(solo) and isfinite(real) and solo > 0 and real > 0):
+                    return None
+                slowdown_sum += max(1.0, solo / real)
+            e_be = 1.0 - n_be / slowdown_sum
         else:
             e_be = 0.0
         return EntropyBreakdown(

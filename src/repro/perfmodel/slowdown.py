@@ -52,11 +52,33 @@ def memory_time_stretch(
     """
     if not 0.0 <= memory_fraction < 1.0:
         raise ModelError(f"memory fraction must be in [0, 1), got {memory_fraction}")
-    if bandwidth_stretch < 1.0:
-        raise ModelError(f"bandwidth stretch must be ≥ 1, got {bandwidth_stretch}")
     if reference_ways <= 0:
         raise ModelError(f"reference ways must be positive, got {reference_ways}")
-    reference_miss = curve.miss_ratio(reference_ways)
+    return stretch_from_reference(
+        curve,
+        effective_ways,
+        curve.miss_ratio(reference_ways),
+        memory_fraction,
+        bandwidth_stretch,
+    )
+
+
+def stretch_from_reference(
+    curve: MissRatioCurve,
+    effective_ways: float,
+    reference_miss: float,
+    memory_fraction: float,
+    bandwidth_stretch: float = 1.0,
+) -> float:
+    """:func:`memory_time_stretch` given ``reference_miss = mr(w_ref)``.
+
+    For callers that hold the reference miss ratio as a per-profile
+    constant and validated ``memory_fraction`` and ``reference_ways``
+    when the profile was built; ``bandwidth_stretch`` varies per call and
+    is checked here.
+    """
+    if bandwidth_stretch < 1.0:
+        raise ModelError(f"bandwidth stretch must be ≥ 1, got {bandwidth_stretch}")
     if reference_miss <= 0:
         # A perfectly cache-resident application has no memory-bound phase.
         return 1.0

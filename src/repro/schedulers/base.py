@@ -17,6 +17,7 @@ from __future__ import annotations
 import abc
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Dict, FrozenSet, Mapping, Optional, Tuple
 
 from repro.entropy.records import BEObservation, LCObservation, SystemObservation
@@ -147,8 +148,9 @@ class SchedulerContext:
     relative_importance: float = 0.8
     rng: Optional[RngStreams] = None
 
-    @property
+    @cached_property
     def app_names(self) -> Tuple[str, ...]:
+        """LC then BE application names; fixed per context, built once."""
         return tuple(list(self.lc_profiles) + list(self.be_profiles))
 
     def threads_of(self, name: str) -> int:

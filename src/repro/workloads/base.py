@@ -9,6 +9,7 @@ performance models need. Profiles carry no runtime state; per-run state
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from repro.errors import ConfigurationError
 from repro.server.llc import MissRatioCurve
@@ -70,6 +71,11 @@ class ApplicationProfile:
     def is_lc(self) -> bool:
         return self.kind.is_lc
 
+    @cached_property
+    def reference_miss(self) -> float:
+        """``mr(reference_ways)``: fixed per profile, so computed once."""
+        return self.curve.miss_ratio(self.reference_ways)
+
     def membw_demand_gbps(self, activity: float, effective_ways: float) -> float:
         """Memory bandwidth demanded at the current activity and cache size.
 
@@ -85,7 +91,7 @@ class ApplicationProfile:
             raise ConfigurationError(
                 f"{self.name}: activity cannot be negative: {activity}"
             )
-        reference_miss = self.curve.miss_ratio(self.reference_ways)
+        reference_miss = self.reference_miss
         if reference_miss <= 0:
             return 0.0
         miss_scaling = self.curve.miss_ratio(effective_ways) / reference_miss

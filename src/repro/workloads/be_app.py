@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import ConfigurationError, ModelError
-from repro.perfmodel.slowdown import memory_time_stretch
+from repro.perfmodel.slowdown import stretch_from_reference
 from repro.workloads.base import ApplicationProfile
 
 
@@ -64,10 +64,10 @@ class BEProfile(ApplicationProfile):
         if transient_penalty < 1.0:
             raise ModelError(f"{self.name}: transient penalty must be ≥ 1")
         core_fraction = min(1.0, cores / float(self.threads))
-        stretch = memory_time_stretch(
+        stretch = stretch_from_reference(
             self.curve,
             effective_ways,
-            self.reference_ways,
+            self.reference_miss,
             self.memory_fraction,
             bandwidth_stretch,
         )

@@ -29,7 +29,7 @@ from typing import Optional
 
 from repro.errors import ConfigurationError, ModelError
 from repro.perfmodel.queueing import QueueModel, service_quantile_ms
-from repro.perfmodel.slowdown import memory_time_stretch
+from repro.perfmodel.slowdown import stretch_from_reference
 from repro.server.llc import MissRatioCurve
 from repro.types import AppKind, QoSTarget
 from repro.workloads.base import ApplicationProfile
@@ -112,10 +112,10 @@ class LCProfile(ApplicationProfile):
         self, effective_ways: float, bandwidth_stretch: float = 1.0
     ) -> float:
         """Execution-time multiplier from cache/bandwidth interference."""
-        return memory_time_stretch(
+        return stretch_from_reference(
             self.curve,
             effective_ways,
-            self.reference_ways,
+            self.reference_miss,
             self.memory_fraction,
             bandwidth_stretch,
         )

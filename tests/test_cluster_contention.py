@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.cluster.contention import (
@@ -30,6 +32,21 @@ def arq_style_plan(context, xapian_cores=2.0, xapian_ways=4.0):
             membw_gbps=capacity.membw_gbps,
         ),
         shared_members=frozenset(context.app_names),
+        shared_policy=CorePolicy.LC_PRIORITY,
+    )
+
+
+def pure_isolated(context, cores: float) -> RegionPlan:
+    """Xapian isolated outside the shared region with ``cores`` cores."""
+    capacity = context.node.capacity
+    return RegionPlan(
+        isolated={"xapian": ResourceVector(cores=cores, llc_ways=6.0)},
+        shared=ResourceVector(
+            cores=capacity.cores - cores,
+            llc_ways=capacity.llc_ways - 6.0,
+            membw_gbps=capacity.membw_gbps,
+        ),
+        shared_members=frozenset(n for n in context.app_names if n != "xapian"),
         shared_policy=CorePolicy.LC_PRIORITY,
     )
 
@@ -154,26 +171,9 @@ class TestTransients:
     def test_change_penalty_applied_once(self, context):
         # Pure isolated plans (xapian outside the shared region) so the
         # core re-assignment actually changes its effective cores.
-        def pure_isolated(cores: float) -> RegionPlan:
-            capacity = context.node.capacity
-            return RegionPlan(
-                isolated={
-                    "xapian": ResourceVector(cores=cores, llc_ways=6.0)
-                },
-                shared=ResourceVector(
-                    cores=capacity.cores - cores,
-                    llc_ways=capacity.llc_ways - 6.0,
-                    membw_gbps=capacity.membw_gbps,
-                ),
-                shared_members=frozenset(
-                    n for n in context.app_names if n != "xapian"
-                ),
-                shared_policy=CorePolicy.LC_PRIORITY,
-            )
-
         state = ContentionState()
-        plan_a = pure_isolated(2.0)
-        plan_b = pure_isolated(4.0)
+        plan_a = pure_isolated(context, 2.0)
+        plan_b = pure_isolated(context, 4.0)
         resolve_contention(context, plan_a, LOW_LOADS, state)
         switched = resolve_contention(context, plan_b, LOW_LOADS, state)
         assert switched["xapian"].transient_penalty > 1.0
@@ -206,3 +206,111 @@ class TestValidation:
         )
         with pytest.raises(AllocationError):
             resolve_contention(context, plan, LOW_LOADS)
+
+
+class TestFixedPointReuse:
+    """A stateful call at a fixed point of the warm-up state is reused."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_fresh_state_reference(self, context, seed):
+        rng = random.Random(seed)
+        plans = [
+            UnmanagedScheduler().initial_plan(context),
+            arq_style_plan(context, xapian_ways=2.0),
+            arq_style_plan(context, xapian_ways=10.0),
+            pure_isolated(context, 2.0),
+            pure_isolated(context, 4.0),
+        ]
+        load_levels = [
+            LOW_LOADS,
+            {"xapian": 0.5, "moses": 0.2, "img-dnn": 0.2},
+            {"xapian": 0.9, "moses": 0.2, "img-dnn": 0.7},
+        ]
+        memo_state = ContentionState()
+        reference = ((), {}, {}, {})
+        previous = None
+        hits = 0
+        for _ in range(12):
+            plan = rng.choice(plans)
+            loads_choice = rng.choice(load_levels)
+            for _ in range(rng.randrange(1, 60)):
+                # Equal loads arrive as a fresh dict, as the run loop's do.
+                loads = dict(loads_choice)
+                _, ways, cores, plan_ways = reference
+                ref_state = ContentionState(
+                    effective_ways=dict(ways),
+                    previous_cores=dict(cores),
+                    previous_plan_ways=dict(plan_ways),
+                )
+                expected = resolve_contention(context, plan, loads, ref_state)
+                reference = (
+                    expected,
+                    ref_state.effective_ways,
+                    ref_state.previous_cores,
+                    ref_state.previous_plan_ways,
+                )
+                got = resolve_contention(context, plan, loads, memo_state)
+                hits += got is previous
+                previous = got
+                assert got == expected
+                assert memo_state.effective_ways == ref_state.effective_ways
+                assert memo_state.previous_cores == ref_state.previous_cores
+                assert memo_state.previous_plan_ways == ref_state.previous_plan_ways
+        assert hits > 0
+
+    def test_hit_returns_the_identical_result(self, context):
+        state = ContentionState()
+        plan = arq_style_plan(context, xapian_ways=10.0)
+        results = [
+            resolve_contention(context, plan, dict(LOW_LOADS), state)
+            for _ in range(200)
+        ]
+        assert results[-1] is results[-2]
+        # Another plan object, even an equal one, is a miss.
+        other = arq_style_plan(context, xapian_ways=10.0)
+        assert other == plan
+        assert resolve_contention(context, other, LOW_LOADS, state) is not results[-1]
+
+    def test_changed_loads_miss(self, context):
+        state = ContentionState()
+        plan = arq_style_plan(context, xapian_ways=10.0)
+        for _ in range(200):
+            settled = resolve_contention(context, plan, LOW_LOADS, state)
+        busier = dict(LOW_LOADS, xapian=0.6)
+        moved = resolve_contention(context, plan, busier, state)
+        assert moved is not settled
+        assert moved["xapian"].activity > settled["xapian"].activity
+
+    def test_capacity_degradation_leaves_the_cached_result_intact(self, context):
+        from repro.faults import CapacityDegradation, FaultInjector, FaultPlan
+
+        injector = FaultInjector(
+            FaultPlan(
+                faults=(
+                    CapacityDegradation(
+                        start_s=0.0, duration_s=60.0, cores_factor=0.5, ways_factor=0.5
+                    ),
+                )
+            )
+        )
+        state = ContentionState()
+        plan = arq_style_plan(context, xapian_ways=10.0)
+        lc_names = tuple(context.lc_profiles)
+        returned = []
+        for index in range(100):
+            time_s = index * 0.5
+            injector.begin_epoch(time_s)
+            resources = resolve_contention(context, plan, dict(LOW_LOADS), state)
+            snapshot = dict(resources)
+            degraded = injector.degrade(time_s, resources, lc_names)
+            assert degraded is not resources
+            assert degraded["xapian"].cores == resources["xapian"].cores * 0.5
+            returned.append((resources, snapshot))
+        hits = sum(
+            1
+            for (current, _), (previous, _) in zip(returned[1:], returned)
+            if current is previous
+        )
+        assert hits > 0
+        for resources, snapshot in returned:
+            assert resources == snapshot

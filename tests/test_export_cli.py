@@ -107,3 +107,20 @@ class TestCLI:
     def test_rejects_unknown_experiment(self):
         with pytest.raises(SystemExit):
             main(["experiment", "fig99"])
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["run", "--duration", "0"], "duration must be positive"),
+            (["datacenter", "--nodes", "0"], "at least one node"),
+            (["experiment", "ab", "--trials", "1"], "needs >= 2 trials"),
+            (["datacenter", "--chaos", "nosuch"], "not a preset"),
+        ],
+    )
+    def test_library_errors_are_one_line(self, capsys, argv, message):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: ")
+        assert message in lines[0]
