@@ -19,6 +19,11 @@ holds the regression-prone hot-path numbers to their targets:
   contention fixed-point memo (a deterministic count, so any change to
   when the memo hits shows up here), and its best-of-N loop time stays
   ≤ 400 µs per epoch (≈ 165 µs measured on a 2-CPU x86-64 VM).
+* **Cold import** — the median ``import repro`` time over fresh
+  interpreters stays within 2.2× the median time to import its floor,
+  ``numpy``, ``scipy.special`` and ``scipy.linalg``. A ratio survives slow
+  CI boxes. On a 2-CPU x86-64 VM the current import reads ≈ 1.7–2.1×;
+  with ``scipy.stats`` on the import path it read ≈ 3–4.4×.
 
 Methodology matches the bench: full-grid warmup on both paths first
 (worker spawn and cache fills are one-off costs the warm pool exists to
@@ -37,10 +42,15 @@ Exit status 0 when every gate holds, 1 otherwise.
 from __future__ import annotations
 
 import argparse
+import os
+import statistics
+import subprocess
 import sys
 import time
+from pathlib import Path
 from typing import List, Optional
 
+import repro
 from repro.cluster import run as run_module
 from repro.datacenter.placement import BinPackingPlacement
 from repro.experiments.common import canonical_mix, make_collocation, run_strategy
@@ -56,6 +66,9 @@ PLACEMENT_NODES = 1000
 PLACEMENT_BUDGET_S = 1.0
 NODE_MEMO_HITS = 142
 NODE_EPOCH_BUDGET_US = 400.0
+COLD_IMPORT_RUNS = 3
+COLD_IMPORT_BUDGET = 2.2
+COLD_IMPORT_FLOOR = "numpy, scipy.special, scipy.linalg"
 
 
 def gate_clite_decide(duration_s: float, repeats: int) -> List[str]:
@@ -195,6 +208,44 @@ def gate_node_epoch(repeats: int) -> List[str]:
     return failures
 
 
+def _import_seconds(modules: str) -> float:
+    """Time ``import <modules>`` inside a fresh interpreter."""
+    src = Path(repro.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = (
+        "import time; started = time.perf_counter(); "
+        f"import {modules}; print(time.perf_counter() - started)"
+    )
+    completed = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return float(completed.stdout)
+
+
+def gate_cold_import() -> List[str]:
+    """Median cold ``import repro`` over the median import of its floor."""
+    repro_s, floor_s = [], []
+    for _ in range(COLD_IMPORT_RUNS):
+        repro_s.append(_import_seconds("repro"))
+        floor_s.append(_import_seconds(COLD_IMPORT_FLOOR))
+    ratio = statistics.median(repro_s) / statistics.median(floor_s)
+    print(
+        f"cold import: repro {statistics.median(repro_s):.2f}s, "
+        f"{COLD_IMPORT_FLOOR} {statistics.median(floor_s):.2f}s, "
+        f"ratio {ratio:.2f}x (median of {COLD_IMPORT_RUNS})"
+    )
+    if ratio > COLD_IMPORT_BUDGET:
+        return [
+            f"cold import repro is {ratio:.2f}x its numpy/scipy floor, "
+            f"over the {COLD_IMPORT_BUDGET}x budget"
+        ]
+    return []
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -222,6 +273,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     failures += gate_pool_overhead(args.pool_duration, args.repeats)
     failures += gate_placement(args.repeats)
     failures += gate_node_epoch(args.repeats)
+    failures += gate_cold_import()
     if failures:
         for failure in failures:
             print(f"PERF GATE FAILED: {failure}", file=sys.stderr)

@@ -847,10 +847,6 @@ def _command_windows(args: argparse.Namespace) -> int:
 def main(argv: Optional[List[str]] = None) -> int:
     """Entry point (``python -m repro``)."""
     args = _build_parser().parse_args(argv)
-    if getattr(args, "jobs", None) is not None:
-        # Make --jobs the process-wide default so experiment modules (whose
-        # main() takes no arguments) resolve it through repro.parallel.
-        set_default_jobs(args.jobs)
     handlers: Dict[str, Callable[[argparse.Namespace], int]] = {
         "run": _command_run,
         "compare": _command_compare,
@@ -860,6 +856,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         "datacenter": _command_datacenter,
     }
     try:
+        if getattr(args, "jobs", None) is not None:
+            # Make --jobs the process-wide default so experiment modules
+            # (whose main() takes no arguments) resolve it through
+            # repro.parallel.
+            set_default_jobs(args.jobs)
         return handlers[args.command](args)
     except ReproError as error:
         # Bad input or a failed model check: one line, not a traceback.

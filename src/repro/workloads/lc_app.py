@@ -317,15 +317,24 @@ def calibrate_lc_profile(
     service_ms = ideal_at_20pct_ms / quantile_factor
     wall = max_load_qps * 2.0
 
+    # Each loop body below is a pure function of its loop state, so once
+    # one iteration leaves the state unchanged every later iteration would
+    # reproduce it: stopping there returns exactly what running to the cap
+    # returns (≈ 55 bisection steps and 2 outer passes instead of 180 × 10).
     for _ in range(10):
+        previous_service_ms, previous_wall = service_ms, wall
         # Latency anchor: p-th percentile at 20% load equals TL_i0.
         # Monotone increasing in the service time → bisection.
         svc_low, svc_high = 1e-9, ideal_at_20pct_ms
         for _ in range(80):
             svc_mid = 0.5 * (svc_low + svc_high)
             if latency_at(low_load_rps, svc_mid, wall) < ideal_at_20pct_ms:
+                if svc_low == svc_mid:
+                    break
                 svc_low = svc_mid
             else:
+                if svc_high == svc_mid:
+                    break
                 svc_high = svc_mid
         service_ms = 0.5 * (svc_low + svc_high)
 
@@ -341,10 +350,16 @@ def calibrate_lc_profile(
         for _ in range(100):
             wall_mid = 0.5 * (wall_low + wall_high)
             if latency_at(max_load_qps, service_ms, wall_mid) > threshold_ms:
+                if wall_low == wall_mid:
+                    break
                 wall_low = wall_mid
             else:
+                if wall_high == wall_mid:
+                    break
                 wall_high = wall_mid
         wall = 0.5 * (wall_low + wall_high)
+        if service_ms == previous_service_ms and wall == previous_wall:
+            break
 
     return LCProfile(
         name=name,

@@ -115,10 +115,15 @@ class TestCLI:
             (["datacenter", "--nodes", "0"], "at least one node"),
             (["experiment", "ab", "--trials", "1"], "needs >= 2 trials"),
             (["datacenter", "--chaos", "nosuch"], "not a preset"),
+            (["run", "--jobs", "0"], "positive integer, got 0"),
+            (["compare", "--jobs", "-2"], "positive integer, got -2"),
+            (["windows", "why-slow", "{missing}"], "cannot read trace"),
+            (["windows", "dump", "{missing}", "--out", "{out}"], "cannot read trace"),
         ],
     )
-    def test_library_errors_are_one_line(self, capsys, argv, message):
-        assert main(argv) == 2
+    def test_library_errors_are_one_line(self, capsys, tmp_path, argv, message):
+        paths = {"missing": tmp_path / "missing.jsonl", "out": tmp_path / "w.jsonl"}
+        assert main([arg.format(**paths) for arg in argv]) == 2
         captured = capsys.readouterr()
         lines = captured.err.splitlines()
         assert len(lines) == 1

@@ -454,6 +454,12 @@ def test_iter_trace_is_lazy_and_reports_bad_lines(tmp_path):
         next(stream)
 
 
+def test_iter_trace_names_a_missing_file(tmp_path):
+    path = tmp_path / "absent.jsonl"
+    with pytest.raises(MeasurementError, match="absent.jsonl: cannot read trace"):
+        next(iter_trace(path))
+
+
 def test_replay_fans_out_to_multiple_tracers(tmp_path):
     events = clean_stream(6.0)
     path = tmp_path / "trace.jsonl"

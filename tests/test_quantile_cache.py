@@ -3,7 +3,11 @@
 ``service_quantile_ms`` caches the unit-scale gamma quantile and rescales
 it (the gamma distribution is a scale family). scipy computes the scaled
 ppf the same way internally, so the cached path must agree with a direct
-``stats.gamma.ppf`` call to (far better than) 1e-9 everywhere.
+``stats.gamma.ppf`` call to (far better than) 1e-9 everywhere. The
+uncached path (``set_caches_enabled(False)``) evaluates
+``special.gammaincinv`` itself and must equal ``stats.gamma.ppf`` bit for
+bit; the library never imports ``scipy.stats``, so this module is its
+only user.
 """
 
 from __future__ import annotations
@@ -74,6 +78,18 @@ def test_disabled_cache_uses_scipy_directly():
     finally:
         set_caches_enabled(True)
     assert cached == uncached
+
+
+@pytest.mark.parametrize("service_cv", CV_GRID)
+@pytest.mark.parametrize("percentile", PERCENTILE_GRID)
+def test_uncached_quantile_is_scipy_ppf_bit_for_bit(service_cv, percentile):
+    set_caches_enabled(False)
+    try:
+        for service_ms in SERVICE_GRID:
+            uncached = service_quantile_ms(service_ms, percentile, service_cv)
+            assert uncached == _direct_ppf(service_ms, percentile, service_cv)
+    finally:
+        set_caches_enabled(True)
 
 
 def test_sojourn_cache_matches_uncached_path():
