@@ -29,16 +29,13 @@ Two families, mirroring the single-node split:
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import asdict, dataclass, fields, replace
-from typing import Any, ClassVar, Dict, List, Mapping, Optional, Tuple
+from dataclasses import dataclass, fields, replace
+from typing import ClassVar, Dict, List, Optional, Tuple
 
 from repro.datacenter.shard import NodeEpochSummary
 from repro.errors import FaultError
-
-#: Registry of cluster fault kinds, filled by ``__init_subclass__``.
-CLUSTER_FAULT_KINDS: Dict[str, type] = {}
+from repro.tagged import Plan, Tagged
 
 #: Summary-corruption modes :class:`SummaryCorruption` understands. Both
 #: are *detectably* insane (NaN or negative entropies), so the degraded
@@ -48,7 +45,7 @@ SUMMARY_CORRUPTION_MODES = ("nan", "negative")
 
 
 @dataclass(frozen=True)
-class NodeFaultSpec:
+class NodeFaultSpec(Tagged, family="cluster fault", error=FaultError):
     """Base class of all cluster fault specs: a node plus an epoch window.
 
     ``kind`` is a class attribute (stable wire name); the fault is active
@@ -61,12 +58,6 @@ class NodeFaultSpec:
     node: int = 0
     epoch: int = 0
     duration_epochs: int = 1
-
-    def __init_subclass__(cls, **kwargs: Any) -> None:
-        super().__init_subclass__(**kwargs)
-        kind = cls.__dict__.get("kind")
-        if kind is not None:
-            CLUSTER_FAULT_KINDS[kind] = cls
 
     def __post_init__(self) -> None:
         if self.node < 0:
@@ -103,42 +94,12 @@ class NodeFaultSpec:
             f" {extras}" if extras else ""
         )
 
-    def to_dict(self) -> Dict[str, Any]:
-        """A flat JSON-safe dict including the ``kind`` discriminator."""
-        payload: Dict[str, Any] = {"kind": self.kind}
-        payload.update(asdict(self))
-        return payload
 
+#: Registry of cluster fault kinds (shared with :class:`NodeFaultSpec`).
+CLUSTER_FAULT_KINDS: Dict[str, type] = NodeFaultSpec._kinds
 
-def cluster_fault_from_dict(payload: Mapping[str, Any]) -> NodeFaultSpec:
-    """Rebuild a :class:`NodeFaultSpec` from :meth:`NodeFaultSpec.to_dict`.
-
-    Raises :class:`~repro.errors.FaultError` for unknown kinds or payloads
-    that do not match the spec's fields.
-    """
-    kind = payload.get("kind")
-    cls = CLUSTER_FAULT_KINDS.get(kind)
-    if cls is None:
-        raise FaultError(
-            f"unknown cluster fault kind {kind!r}; "
-            f"known kinds: {sorted(CLUSTER_FAULT_KINDS)}"
-        )
-    names = {f.name for f in fields(cls)}
-    kwargs = {key: value for key, value in payload.items() if key != "kind"}
-    unknown = set(kwargs) - names
-    if unknown:
-        raise FaultError(
-            f"unexpected fields {sorted(unknown)} for cluster fault {kind!r}"
-        )
-    for key, value in kwargs.items():
-        if isinstance(value, list):
-            kwargs[key] = tuple(value)
-    try:
-        return cls(**kwargs)
-    except TypeError as exc:
-        raise FaultError(
-            f"malformed payload for cluster fault {kind!r}: {exc}"
-        ) from exc
+#: Rebuild a :class:`NodeFaultSpec` from its ``to_dict`` output.
+cluster_fault_from_dict = NodeFaultSpec.from_dict
 
 
 @dataclass(frozen=True)
@@ -254,28 +215,13 @@ class SummaryCorruption(NodeFaultSpec):
         )
 
 
-@dataclass(frozen=True)
-class ClusterFaultPlan:
-    """An immutable, JSON-round-trippable schedule of cluster faults."""
+class ClusterFaultPlan(Plan):
+    """An immutable, JSON-round-trippable schedule of cluster faults.
 
-    faults: Tuple[NodeFaultSpec, ...] = ()
+    The per-epoch queries below are all pure functions of the plan.
+    """
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "faults", tuple(self.faults))
-        for fault in self.faults:
-            if not isinstance(fault, NodeFaultSpec):
-                raise FaultError(
-                    f"ClusterFaultPlan entries must be NodeFaultSpec values, "
-                    f"got {type(fault).__name__}"
-                )
-
-    def __len__(self) -> int:
-        return len(self.faults)
-
-    def __iter__(self):
-        return iter(self.faults)
-
-    # -- per-epoch queries (all pure functions of the plan) ----------------
+    spec: ClassVar[type] = NodeFaultSpec
 
     def down_nodes(self, epoch: int) -> Tuple[int, ...]:
         """Sorted indices of nodes out of service at ``epoch``."""
@@ -329,47 +275,6 @@ class ClusterFaultPlan:
         if not self.faults:
             return -1
         return max(f.end_epoch for f in self.faults) - 1
-
-    # -- serialisation -----------------------------------------------------
-
-    def to_dict(self) -> Dict[str, Any]:
-        """A JSON-safe dict of the whole plan."""
-        return {"faults": [fault.to_dict() for fault in self.faults]}
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "ClusterFaultPlan":
-        """Rebuild a plan from :meth:`to_dict` output."""
-        faults = payload.get("faults")
-        if not isinstance(faults, (list, tuple)):
-            raise FaultError("a cluster fault plan needs a 'faults' list")
-        return cls(
-            faults=tuple(cluster_fault_from_dict(entry) for entry in faults)
-        )
-
-    def to_json(self, indent: int = 2) -> str:
-        """The plan serialised as JSON."""
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ClusterFaultPlan":
-        """Parse a plan from :meth:`to_json` output."""
-        try:
-            payload = json.loads(text)
-        except ValueError as exc:
-            raise FaultError(f"invalid cluster fault plan JSON: {exc}") from exc
-        return cls.from_dict(payload)
-
-    def save(self, path: str) -> str:
-        """Write the plan to ``path`` as JSON; returns the path."""
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(self.to_json() + "\n")
-        return path
-
-    @classmethod
-    def load(cls, path: str) -> "ClusterFaultPlan":
-        """Read a plan previously written with :meth:`save`."""
-        with open(path, "r", encoding="utf-8") as handle:
-            return cls.from_json(handle.read())
 
 
 def _spread(nodes: int, count: int) -> List[int]:

@@ -27,21 +27,18 @@ resilience experiment sweeps.
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass, fields
-from typing import Any, ClassVar, Dict, List, Mapping, Tuple
+from dataclasses import dataclass, fields
+from typing import ClassVar, Dict, List, Tuple
 
 from repro.errors import FaultError, TelemetryCorruptionError
-
-#: Registry of fault kinds, filled by ``FaultSpec.__init_subclass__``.
-FAULT_KINDS: Dict[str, type] = {}
+from repro.tagged import Plan, Tagged
 
 #: The telemetry-corruption modes :class:`TelemetryCorruption` understands.
 CORRUPTION_MODES = ("nan", "stale", "outlier")
 
 
 @dataclass(frozen=True)
-class FaultSpec:
+class FaultSpec(Tagged, family="fault", error=FaultError):
     """Base class of all fault specs: a kind tag plus an activity window.
 
     ``kind`` is a class attribute (stable wire name); ``start_s`` and
@@ -54,12 +51,6 @@ class FaultSpec:
 
     start_s: float = 0.0
     duration_s: float = 1.0
-
-    def __init_subclass__(cls, **kwargs: Any) -> None:
-        super().__init_subclass__(**kwargs)
-        kind = cls.__dict__.get("kind")
-        if kind is not None:
-            FAULT_KINDS[kind] = cls
 
     def __post_init__(self) -> None:
         if not self.start_s >= 0:
@@ -94,42 +85,12 @@ class FaultSpec:
         window = f"[{self.start_s:g}s, {self.end_s:g}s)"
         return f"{self.kind} {window}" + (f" {extras}" if extras else "")
 
-    def to_dict(self) -> Dict[str, Any]:
-        """A flat JSON-safe dict including the ``kind`` discriminator."""
-        payload: Dict[str, Any] = {"kind": self.kind}
-        payload.update(asdict(self))
-        return payload
 
+#: Registry of fault kinds (shared with :class:`FaultSpec`).
+FAULT_KINDS: Dict[str, type] = FaultSpec._kinds
 
-def fault_from_dict(payload: Mapping[str, Any]) -> FaultSpec:
-    """Rebuild a :class:`FaultSpec` from :meth:`FaultSpec.to_dict` output.
-
-    Raises :class:`~repro.errors.FaultError` for unknown kinds or payloads
-    that do not match the spec's fields.
-    """
-    kind = payload.get("kind")
-    cls = FAULT_KINDS.get(kind)
-    if cls is None:
-        raise FaultError(
-            f"unknown fault kind {kind!r}; known kinds: {sorted(FAULT_KINDS)}"
-        )
-    names = {f.name for f in fields(cls)}
-    kwargs = {key: value for key, value in payload.items() if key != "kind"}
-    unknown = set(kwargs) - names
-    if unknown:
-        raise FaultError(
-            f"unexpected fields {sorted(unknown)} for fault kind {kind!r}"
-        )
-    # JSON brings sequences back as lists; the specs store tuples.
-    for key, value in kwargs.items():
-        if isinstance(value, list):
-            kwargs[key] = tuple(value)
-    try:
-        return cls(**kwargs)
-    except TypeError as exc:
-        raise FaultError(
-            f"malformed payload for fault kind {kind!r}: {exc}"
-        ) from exc
+#: Rebuild a :class:`FaultSpec` from its ``to_dict`` output.
+fault_from_dict = FaultSpec.from_dict
 
 
 def _clamp01(value: float) -> float:
@@ -271,67 +232,14 @@ class BEBurst(FaultSpec):
         return 1.0 + 0.5 * (self.intensity - 1.0)
 
 
-@dataclass(frozen=True)
-class FaultPlan:
-    """An immutable, JSON-round-trippable timeline of fault specs."""
+class FaultPlan(Plan):
+    """An immutable, JSON-round-trippable timeline of :class:`FaultSpec` values."""
 
-    faults: Tuple[FaultSpec, ...] = ()
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "faults", tuple(self.faults))
-        for fault in self.faults:
-            if not isinstance(fault, FaultSpec):
-                raise FaultError(
-                    f"FaultPlan entries must be FaultSpec values, "
-                    f"got {type(fault).__name__}"
-                )
-
-    def __len__(self) -> int:
-        return len(self.faults)
-
-    def __iter__(self):
-        return iter(self.faults)
+    spec: ClassVar[type] = FaultSpec
 
     def active_at(self, time_s: float) -> List[FaultSpec]:
         """The faults active at ``time_s``, in plan order."""
         return [fault for fault in self.faults if fault.active_at(time_s)]
-
-    def to_dict(self) -> Dict[str, Any]:
-        """A JSON-safe dict of the whole plan."""
-        return {"faults": [fault.to_dict() for fault in self.faults]}
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "FaultPlan":
-        """Rebuild a plan from :meth:`to_dict` output."""
-        faults = payload.get("faults")
-        if not isinstance(faults, (list, tuple)):
-            raise FaultError("a fault plan needs a 'faults' list")
-        return cls(faults=tuple(fault_from_dict(entry) for entry in faults))
-
-    def to_json(self, indent: int = 2) -> str:
-        """The plan serialised as JSON."""
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "FaultPlan":
-        """Parse a plan from :meth:`to_json` output."""
-        try:
-            payload = json.loads(text)
-        except ValueError as exc:
-            raise FaultError(f"invalid fault-plan JSON: {exc}") from exc
-        return cls.from_dict(payload)
-
-    def save(self, path: str) -> str:
-        """Write the plan to ``path`` as JSON; returns the path."""
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(self.to_json() + "\n")
-        return path
-
-    @classmethod
-    def load(cls, path: str) -> "FaultPlan":
-        """Read a plan previously written with :meth:`save`."""
-        with open(path, "r", encoding="utf-8") as handle:
-            return cls.from_json(handle.read())
 
 
 def _preset_telemetry_dropout(intensity: float) -> Tuple[FaultSpec, ...]:

@@ -21,16 +21,11 @@ Design rules:
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import asdict, dataclass, fields
-from typing import Any, Callable, ClassVar, Dict, List, Mapping, Optional, Tuple
+from dataclasses import dataclass
+from typing import Callable, ClassVar, Dict, List, Mapping, Optional, Tuple
 
-from repro.errors import ConfigurationError
-
-#: Event count past which :class:`CollectingTracer` warns that
-#: collect-everything tracing should give way to the bounded
-#: :class:`~repro.obs.windows.WindowedTracer`.
-COLLECT_WARN_THRESHOLD = 200_000
+from repro.errors import ConfigurationError, MeasurementError
+from repro.tagged import Tagged
 
 try:  # Python 3.8+: typing.Protocol
     from typing import Protocol, runtime_checkable
@@ -58,12 +53,8 @@ class Tracer(Protocol):
         ...
 
 
-#: Registry of event kinds, filled by ``__init_subclass__``.
-EVENT_KINDS: Dict[str, type] = {}
-
-
 @dataclass(frozen=True)
-class TraceEvent:
+class TraceEvent(Tagged, family="trace event", error=ConfigurationError):
     """Base class of all trace events: a kind tag plus a simulation time.
 
     ``kind`` is a class attribute (stable wire name); ``time_s`` is the
@@ -75,60 +66,13 @@ class TraceEvent:
 
     time_s: float
 
-    def __init_subclass__(cls, **kwargs: Any) -> None:
-        super().__init_subclass__(**kwargs)
-        kind = cls.__dict__.get("kind")
-        if kind is not None:
-            EVENT_KINDS[kind] = cls
 
-    def to_dict(self) -> Dict[str, Any]:
-        """A flat JSON-safe dict including the ``kind`` discriminator."""
-        payload: Dict[str, Any] = {"kind": self.kind}
-        payload.update(asdict(self))
-        return payload
+#: Registry of event kinds (shared with :class:`TraceEvent`).
+EVENT_KINDS: Dict[str, type] = TraceEvent._kinds
 
-
-def event_from_dict(payload: Mapping[str, Any]) -> TraceEvent:
-    """Rebuild a :class:`TraceEvent` from :meth:`TraceEvent.to_dict` output.
-
-    Raises :class:`~repro.errors.ConfigurationError` for unknown kinds or
-    payloads that do not match the event's fields — a trace written by a
-    newer version fails loudly instead of silently dropping data.
-    """
-    kind = payload.get("kind")
-    cls = EVENT_KINDS.get(kind)
-    if cls is None:
-        raise ConfigurationError(f"unknown trace event kind {kind!r}")
-    names = {f.name for f in fields(cls)}
-    kwargs = {key: value for key, value in payload.items() if key != "kind"}
-    unknown = set(kwargs) - names
-    if unknown:
-        raise ConfigurationError(
-            f"unexpected fields {sorted(unknown)} for event kind {kind!r}"
-        )
-    try:
-        event = cls(**kwargs)
-    except TypeError as exc:
-        raise ConfigurationError(
-            f"malformed payload for event kind {kind!r}: {exc}"
-        ) from exc
-    # Tuples arrive back as lists from JSON; normalise so round-trips
-    # compare equal.
-    return _normalise(event)
-
-
-def _normalise(event: TraceEvent) -> TraceEvent:
-    """Coerce JSON list fields back into the tuples the dataclasses use."""
-    updates = {}
-    for f in fields(event):
-        value = getattr(event, f.name)
-        if isinstance(value, list):
-            updates[f.name] = tuple(value)
-    if not updates:
-        return event
-    kwargs = {f.name: getattr(event, f.name) for f in fields(event)}
-    kwargs.update(updates)
-    return type(event)(**kwargs)
+#: Rebuild a :class:`TraceEvent` from its ``to_dict`` output; raises
+#: :class:`~repro.errors.ConfigurationError` for payloads that do not match.
+event_from_dict = TraceEvent.from_dict
 
 
 # -- run lifecycle -----------------------------------------------------------
@@ -211,7 +155,7 @@ class SchedulerDecision(TraceEvent):
 
 @dataclass(frozen=True)
 class ResourceMove(TraceEvent):
-    """One resource adjustment between regions (ARQ/PARTIES/Heracles)."""
+    """One resource adjustment between regions (ARQ/PARTIES)."""
 
     kind: ClassVar[str] = "resource_move"
 
@@ -443,12 +387,10 @@ class CollectingTracer:
     """A tracer that appends every event to an in-memory list.
 
     Memory grows with the event count — O(events), unbounded by default —
-    which cannot survive million-event traces. Crossing
-    :data:`COLLECT_WARN_THRESHOLD` events raises a
-    :class:`DeprecationWarning` (once per instance) pointing at the
-    bounded replacement, :class:`~repro.obs.windows.WindowedTracer`, and
-    the streaming helpers in :mod:`repro.obs.stream`. ``max_events`` puts
-    a hard cap on the collection: events past it raise
+    which cannot survive million-event traces; long runs belong in the
+    bounded :class:`~repro.obs.windows.WindowedTracer` or the streaming
+    helpers in :mod:`repro.obs.stream`. ``max_events`` puts a hard cap on
+    the collection: events past it raise
     :class:`~repro.errors.MeasurementError` instead of silently eating
     the heap.
 
@@ -459,37 +401,21 @@ class CollectingTracer:
 
     def __init__(self, *, max_events: Optional[int] = None) -> None:
         if max_events is not None and max_events < 1:
-            from repro.errors import ConfigurationError
-
             raise ConfigurationError(
                 f"max_events must be positive: {max_events}"
             )
         self.events: List[TraceEvent] = []
         self.max_events = max_events
-        self._warned = False
 
     def emit(self, event: TraceEvent) -> None:
         """Append the event to :attr:`events` (bounded by ``max_events``)."""
         if self.max_events is not None and len(self.events) >= self.max_events:
-            from repro.errors import MeasurementError
-
             raise MeasurementError(
                 f"CollectingTracer exceeded max_events={self.max_events}; "
                 "use repro.obs.windows.WindowedTracer for bounded-memory "
                 "aggregation of long runs"
             )
         self.events.append(event)
-        if not self._warned and len(self.events) > COLLECT_WARN_THRESHOLD:
-            self._warned = True
-            warnings.warn(
-                f"CollectingTracer holds over {COLLECT_WARN_THRESHOLD} events "
-                "in memory; collect-everything tracing is deprecated for "
-                "long runs — fold into bounded windows with "
-                "repro.obs.windows.WindowedTracer (or stream to disk with "
-                "repro.obs.export.JsonlTraceWriter)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
 
     def __len__(self) -> int:
         return len(self.events)

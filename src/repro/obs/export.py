@@ -20,8 +20,7 @@ Three families live here:
   to make.
 
 The per-epoch run exporters (:func:`epochs_to_rows`, :func:`write_csv`,
-:func:`write_json`, :func:`summary_dict`) moved here from
-``repro.cluster.export``; the old module remains as a deprecation shim.
+:func:`write_json`, :func:`summary_dict`) live here too.
 """
 
 from __future__ import annotations
@@ -30,8 +29,7 @@ import csv
 import json
 import pathlib
 import sys
-import warnings
-from typing import TYPE_CHECKING, Any, Dict, IO, Iterable, List, Optional, Union
+from typing import TYPE_CHECKING, Dict, IO, Iterable, List, Optional, Union
 
 from repro.errors import ConfigurationError
 from repro.obs.events import (
@@ -64,38 +62,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (run.py emits events)
 PathLike = Union[str, pathlib.Path]
 
 
-def _adopt_positional(
-    cls_name: str,
-    names: tuple,
-    args: tuple,
-    kwargs: Dict[str, Any],
-) -> Dict[str, Any]:
-    """Map deprecated positional constructor arguments onto keywords.
-
-    Every exporter constructor shares the keyword-only convention (the
-    same redesign the schedulers went through: a common ``path``/
-    ``append`` tail). Old positional call sites keep working through this
-    shim, with a :class:`DeprecationWarning` naming the replacement.
-    """
-    if not args:
-        return kwargs
-    if len(args) > len(names):
-        raise TypeError(
-            f"{cls_name} takes at most {len(names)} arguments ({len(args)} given)"
-        )
-    warnings.warn(
-        f"positional {cls_name}(...) arguments are deprecated; use keyword "
-        f"arguments: {cls_name}({', '.join(f'{n}=...' for n in names[:len(args)])})",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    for name, value in zip(names, args):
-        if name in kwargs:
-            raise TypeError(f"{cls_name} got multiple values for argument {name!r}")
-        kwargs[name] = value
-    return kwargs
-
-
 # -- trace I/O ---------------------------------------------------------------
 
 
@@ -114,29 +80,13 @@ class JsonlTraceWriter:
     run are byte-identical.
 
     Arguments are keyword-only (``path=...``, ``append=...``) — the
-    common exporter tail; positional calls still work behind a
-    :class:`DeprecationWarning`. ``append=True`` opens the file in append
-    mode so several runs can share one trace file.
+    common exporter tail. ``append=True`` opens the file in append mode
+    so several runs can share one trace file.
     """
 
-    def __init__(
-        self,
-        *args: Any,
-        path: Optional[PathLike] = None,
-        append: Optional[bool] = None,
-    ) -> None:
-        given: Dict[str, Any] = {}
-        if path is not None:
-            given["path"] = path
-        if append is not None:
-            given["append"] = append
-        resolved = _adopt_positional(
-            "JsonlTraceWriter", ("path", "append"), args, given
-        )
-        if resolved.get("path") is None:
-            raise TypeError("JsonlTraceWriter requires a path= argument")
-        self.path = pathlib.Path(resolved["path"])
-        self.append = bool(resolved.get("append", False))
+    def __init__(self, *, path: PathLike, append: bool = False) -> None:
+        self.path = pathlib.Path(path)
+        self.append = bool(append)
         self._handle: Optional[IO[str]] = self.path.open(
             "a" if self.append else "w"
         )
@@ -288,24 +238,14 @@ class Console:
     one flag (``--quiet``) silences the whole package. The default stream
     is resolved at call time (so pytest's ``capsys`` and shell
     redirections behave normally). Arguments are keyword-only
-    (``stream=...``, ``quiet=...``); positional calls still work behind a
-    :class:`DeprecationWarning`.
+    (``stream=...``, ``quiet=...``).
     """
 
     def __init__(
-        self,
-        *args: Any,
-        stream: Optional[IO[str]] = None,
-        quiet: Optional[bool] = None,
+        self, *, stream: Optional[IO[str]] = None, quiet: bool = False
     ) -> None:
-        given: Dict[str, Any] = {}
-        if stream is not None:
-            given["stream"] = stream
-        if quiet is not None:
-            given["quiet"] = quiet
-        resolved = _adopt_positional("Console", ("stream", "quiet"), args, given)
-        self.quiet = bool(resolved.get("quiet", False))
-        self._stream = resolved.get("stream")
+        self.quiet = bool(quiet)
+        self._stream = stream
 
     @property
     def stream(self) -> IO[str]:
@@ -357,26 +297,14 @@ class NarratorTracer:
     The narrator renders each event as it arrives and keeps **nothing**
     in memory — it narrates million-event runs at O(1) space (unlike
     :class:`~repro.obs.events.CollectingTracer`). Arguments are
-    keyword-only (``sink=...``, ``every_epoch=...``); positional calls
-    still work behind a :class:`DeprecationWarning`.
+    keyword-only (``sink=...``, ``every_epoch=...``).
     """
 
     def __init__(
-        self,
-        *args: Any,
-        sink: Optional[Console] = None,
-        every_epoch: Optional[bool] = None,
+        self, *, sink: Optional[Console] = None, every_epoch: bool = False
     ) -> None:
-        given: Dict[str, Any] = {}
-        if sink is not None:
-            given["sink"] = sink
-        if every_epoch is not None:
-            given["every_epoch"] = every_epoch
-        resolved = _adopt_positional(
-            "NarratorTracer", ("sink", "every_epoch"), args, given
-        )
-        self._sink = resolved.get("sink") or _CONSOLE
-        self._every_epoch = bool(resolved.get("every_epoch", False))
+        self._sink = sink or _CONSOLE
+        self._every_epoch = bool(every_epoch)
 
     def emit(self, event: TraceEvent) -> None:
         """Render one event (quiet epochs are elided unless asked for)."""
@@ -477,7 +405,7 @@ class NarratorTracer:
         return None
 
 
-# -- per-epoch run exporters (moved from repro.cluster.export) ---------------
+# -- per-epoch run exporters -------------------------------------------------
 
 #: Column order of the per-epoch CSV.
 EPOCH_COLUMNS = [

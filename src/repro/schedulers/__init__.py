@@ -9,8 +9,6 @@
   per-application slack and a resource-type FSM;
 * :mod:`repro.schedulers.clite` — CLITE: strict partitioning chosen by
   Bayesian optimisation;
-* :mod:`repro.schedulers.heracles` — Heracles-style threshold control
-  (related-work comparison);
 * :mod:`repro.schedulers.arq` — the paper's ARQ strategy (Algorithm 1);
 * :mod:`repro.schedulers.static` — fixed plans for what-if studies
   (Fig. 1).
@@ -20,7 +18,6 @@ from repro.schedulers.arq import ARQScheduler
 from repro.schedulers.base import RegionPlan, Scheduler, SchedulerContext
 from repro.schedulers.clite import CLITEScheduler
 from repro.schedulers.fsm import ResourceTypeFSM
-from repro.schedulers.heracles import HeraclesScheduler
 from repro.schedulers.lc_first import LCFirstScheduler
 from repro.schedulers.parties import PartiesScheduler
 from repro.schedulers.static import StaticScheduler
@@ -29,7 +26,6 @@ from repro.schedulers.unmanaged import UnmanagedScheduler
 __all__ = [
     "ARQScheduler",
     "CLITEScheduler",
-    "HeraclesScheduler",
     "LCFirstScheduler",
     "PartiesScheduler",
     "RegionPlan",

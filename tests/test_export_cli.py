@@ -119,10 +119,27 @@ class TestCLI:
             (["compare", "--jobs", "-2"], "positive integer, got -2"),
             (["windows", "why-slow", "{missing}"], "cannot read trace"),
             (["windows", "dump", "{missing}", "--out", "{out}"], "cannot read trace"),
+            (["run", "--faults", "{missing}"], "cannot read fault plan"),
+            (["run", "--faults", "{list_plan}"], "needs a 'faults' list"),
+            (
+                ["datacenter", "--nodes", "2", "--chaos", "{list_plan}"],
+                "needs a 'faults' list",
+            ),
+            (
+                ["windows", "dump", "{list_trace}", "--out", "{out}"],
+                "must be a JSON object",
+            ),
         ],
     )
     def test_library_errors_are_one_line(self, capsys, tmp_path, argv, message):
-        paths = {"missing": tmp_path / "missing.jsonl", "out": tmp_path / "w.jsonl"}
+        paths = {
+            "missing": tmp_path / "missing.jsonl",
+            "out": tmp_path / "w.jsonl",
+            "list_plan": tmp_path / "list_plan.json",
+            "list_trace": tmp_path / "list_trace.jsonl",
+        }
+        paths["list_plan"].write_text("[1]\n")
+        paths["list_trace"].write_text("[1]\n")
         assert main([arg.format(**paths) for arg in argv]) == 2
         captured = capsys.readouterr()
         lines = captured.err.splitlines()

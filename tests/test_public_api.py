@@ -157,12 +157,6 @@ EXPECTED_PUBLIC_NAMES = {
     "TimeShiftedLoad",
 }
 
-def _heracles():
-    from repro.schedulers.heracles import HeraclesScheduler
-
-    return HeraclesScheduler
-
-
 SCHEDULER_CLASSES = [
     repro.ARQScheduler,
     repro.CLITEScheduler,
@@ -171,7 +165,6 @@ SCHEDULER_CLASSES = [
     repro.StaticScheduler,
     repro.SwitchbackScheduler,
     repro.UnmanagedScheduler,
-    _heracles(),
 ]
 
 
@@ -235,24 +228,3 @@ def test_docstrings_everywhere():
                 if not inspect.getdoc(obj):
                     missing.append(f"{module_info.name}.{name}")
     assert not missing, f"missing docstrings: {missing}"
-
-
-def test_deprecated_export_path_warns_on_access():
-    """The old ``repro.cluster.export`` names forward with a warning."""
-    from repro.cluster import export as old_home
-
-    with pytest.warns(DeprecationWarning, match="repro.obs.export.write_csv"):
-        forwarded = old_home.write_csv
-    from repro.obs.export import write_csv
-
-    assert forwarded is write_csv
-
-
-def test_deprecated_export_import_is_silent(recwarn):
-    """Importing the shim module itself must not warn (package walks)."""
-    import importlib
-
-    import repro.cluster.export
-
-    importlib.reload(repro.cluster.export)
-    assert not [w for w in recwarn.list if w.category is DeprecationWarning]
