@@ -522,9 +522,13 @@ class WindowSummary:
 
     Holds at most ``config.keep`` windows (the largest indices seen),
     the union of declared fault intervals, and bookkeeping: total events
-    folded, events that arrived for already-evicted windows
-    (``late_events``), and the highest evicted window index
-    (``evicted_through``; ``None`` when nothing was evicted).
+    folded, the highest evicted window index (``evicted_through``;
+    ``None`` when nothing was evicted), and the events whose window is
+    at or behind it (``late_events``: folded into a window that was
+    later evicted, or arriving after it was). Every folded event is in a
+    kept window or in ``late_events``, and the kept windows are the
+    largest ``keep`` indices, so both counts are independent of arrival
+    order and merge exactly.
     """
 
     config: WindowConfig
@@ -539,6 +543,18 @@ class WindowSummary:
     def observe(self, event: TraceEvent) -> None:
         """Fold one event into the ring."""
         self.events += 1
+        if isinstance(event, FaultInjected):
+            # Recorded even for a dropped window: the interval set is the
+            # union over every event, whatever order they arrive in.
+            self._record_fault(
+                FaultInterval(
+                    start_s=event.time_s,
+                    end_s=event.until_s,
+                    fault=event.fault,
+                    targets=tuple(event.targets),
+                    detail=event.detail,
+                )
+            )
         index = self.config.index_of(event.time_s)
         if self.evicted_through is not None and index <= self.evicted_through:
             self.late_events += 1
@@ -553,16 +569,6 @@ class WindowSummary:
                 self.late_events += 1
                 return
         window.observe(event, self.config.annotation_cap)
-        if isinstance(event, FaultInjected):
-            self._record_fault(
-                FaultInterval(
-                    start_s=event.time_s,
-                    end_s=event.until_s,
-                    fault=event.fault,
-                    targets=tuple(event.targets),
-                    detail=event.detail,
-                )
-            )
 
     def _record_fault(self, interval: FaultInterval) -> None:
         if interval in self.faults:
@@ -571,11 +577,15 @@ class WindowSummary:
         self.faults.sort()
         del self.faults[FAULT_INTERVAL_CAP:]
 
+    def _drop(self, index: int) -> None:
+        """Delete a kept window, counting its events as late."""
+        self.late_events += sum(self.windows.pop(index).counts.values())
+
     def _evict(self) -> None:
         keep = self.config.keep
         while len(self.windows) > keep:
             oldest = min(self.windows)
-            del self.windows[oldest]
+            self._drop(oldest)
             if self.evicted_through is None or oldest > self.evicted_through:
                 self.evicted_through = oldest
 
@@ -594,6 +604,7 @@ class WindowSummary:
             )
         for index, window in other.windows.items():
             if self.evicted_through is not None and index <= self.evicted_through:
+                self.late_events += sum(window.counts.values())
                 continue
             mine = self.windows.get(index)
             if mine is None:
@@ -607,7 +618,7 @@ class WindowSummary:
         ):
             self.evicted_through = other.evicted_through
             for index in [i for i in self.windows if i <= self.evicted_through]:
-                del self.windows[index]
+                self._drop(index)
         self._evict()
         for interval in other.faults:
             self._record_fault(interval)
