@@ -1,7 +1,7 @@
 """CI perf gate: fail fast when a hot-path number regresses.
 
-A quick smoke (~seconds, not the full ``bench_sweep.py`` refresh) that
-holds the regression-prone hot-path numbers to their targets:
+A quick smoke (~seconds; the full benchmark is ``perfbench/run.py``)
+that holds the regression-prone hot-path numbers to their targets:
 
 * **CLITE decide()** — mean ≤ 50 µs and p99 ≤ 500 µs per epoch. CLITE
   is the strategy whose decision used to cost an O(n³) GP refit per
@@ -9,7 +9,7 @@ holds the regression-prone hot-path numbers to their targets:
 * **Pool dispatch overhead** — the sweep grid forced through a
   one-worker warm pool must stay within 1.1× of the in-process serial
   path. On a single-core CI runner a speedup is impossible, so overhead
-  is the honest parallel-runner metric (see ``bench_sweep.py``).
+  is the honest parallel-runner metric.
 * **Bin-packing placement** — ``BinPackingPlacement.assign`` on the
   fig15 population at 1000 nodes takes ≤ 1 s. Placement scores each
   member once per distinct node spec and worst-fits on a heap; a
@@ -25,7 +25,7 @@ holds the regression-prone hot-path numbers to their targets:
   CI boxes. On a 2-CPU x86-64 VM the current import reads ≈ 1.7–2.1×;
   with ``scipy.stats`` on the import path it read ≈ 3–4.4×.
 
-Methodology matches the bench: full-grid warmup on both paths first
+Methodology: full-grid warmup on both paths first
 (worker spawn and cache fills are one-off costs the warm pool exists to
 amortise), legs interleaved within every repeat so background-load
 drift biases none of them, and the **minimum** over repeats reported —
@@ -258,8 +258,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--decide-duration",
         type=float,
         default=90.0,
-        help="simulated seconds per decide()-profile run (matches the "
-        "committed BENCH_sweep.json profile)",
+        help="simulated seconds per decide()-profile run",
     )
     parser.add_argument(
         "--pool-duration",

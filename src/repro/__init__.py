@@ -108,7 +108,6 @@ from repro.faults import (
     fault_preset,
 )
 from repro.parallel import (
-    BatchReport,
     ParallelRunError,
     PointFailure,
     RunGrid,
@@ -178,7 +177,6 @@ __all__ = [
     "BEMember",
     "BEObservation",
     "BE_APPLICATIONS",
-    "BatchReport",
     "BinPackingPlacement",
     "CLITEScheduler",
     "CapacityDegradation",

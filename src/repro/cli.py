@@ -98,6 +98,7 @@ from repro.datacenter.chaos import CLUSTER_FAULT_PRESETS
 from repro.datacenter.migration import MIGRATION_POLICIES
 from repro.faults.plan import FAULT_PRESETS, FaultPlan, fault_preset
 from repro.experiments.reporting import ascii_table
+from repro.cluster.collocation import Collocation
 from repro.cluster.run import run_collocation
 from repro.obs.events import Tracer, compose_tracers
 from repro.obs.export import (
@@ -259,10 +260,25 @@ def _fault_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _fault_plan(args: argparse.Namespace) -> Optional[FaultPlan]:
-    """Resolve the ``--faults``/``--fault-preset`` flags to a plan."""
+def _fault_plan(
+    args: argparse.Namespace, collocation: Collocation
+) -> Optional[FaultPlan]:
+    """Resolve the ``--faults``/``--fault-preset`` flags to a plan.
+
+    A ``--faults`` file must target only applications in the mix; a
+    preset skips any target the mix lacks (see
+    :func:`~repro.faults.plan.fault_preset`).
+    """
     if args.faults is not None:
-        return FaultPlan.load(args.faults)
+        plan = FaultPlan.load(args.faults)
+        names = {m.name for m in collocation.lc} | {m.name for m in collocation.be}
+        unknown = sorted({t for fault in plan for t in fault.targets()} - names)
+        if unknown:
+            raise FaultError(
+                f"fault plan {args.faults!r} targets application(s) "
+                f"{', '.join(unknown)} not in the mix ({', '.join(sorted(names))})"
+            )
+        return plan
     if args.fault_preset is not None:
         plan = fault_preset(args.fault_preset, args.fault_intensity)
         return plan if len(plan) else None
@@ -538,7 +554,7 @@ def _command_run(args: argparse.Namespace) -> int:
     collocation = _collocation(args)
     scheduler = STRATEGY_FACTORIES[args.strategy]()
     warmup = args.warmup if args.warmup is not None else args.duration * 0.5
-    faults = _fault_plan(args)
+    faults = _fault_plan(args, collocation)
     tracer, metrics, writer = _observability(args)
     window_config = _window_config(args)
     try:
@@ -584,7 +600,7 @@ def _command_run(args: argparse.Namespace) -> int:
 def _command_compare(args: argparse.Namespace) -> int:
     collocation = _collocation(args)
     warmup = args.warmup if args.warmup is not None else args.duration * 0.5
-    faults = _fault_plan(args)
+    faults = _fault_plan(args, collocation)
     tracer, metrics, writer = _observability(args)
     window_config = _window_config(args)
     try:

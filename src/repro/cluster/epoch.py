@@ -6,7 +6,9 @@ into a columnar blob (one float array per field instead of thousands of
 tiny objects) that pickles several times faster and smaller. The parallel
 runner ships every :class:`~repro.cluster.run.RunResult` through it, and
 on a single-core box that serialisation is the warm pool's entire
-dispatch tax — see ``benchmarks/perf/bench_sweep.py``.
+dispatch tax — ``perfbench/`` reports it as the
+``cluster.epoch.pack_us_per_epoch`` and ``.wire_bytes_per_epoch`` layer
+metrics.
 """
 
 from __future__ import annotations

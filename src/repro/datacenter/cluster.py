@@ -64,7 +64,7 @@ from repro.entropy.records import (
     LCObservation,
     SystemObservation,
 )
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, FaultError
 from repro.faults.plan import FaultPlan
 from repro.obs.events import (
     CheckpointWritten,
@@ -509,7 +509,6 @@ class Datacenter:
         checks: Optional[Union[CheckConfig, str]],
         windows: Optional[Union[WindowConfig, int, float]],
         keep_records: bool,
-        timeout_s: Optional[float],
         offset_s: float = 0.0,
         retries: int = 0,
         on_error: str = "raise",
@@ -552,7 +551,6 @@ class Datacenter:
         outcomes = run_shards(
             items,
             jobs=jobs,
-            timeout_s=timeout_s,
             retries=retries,
             on_error=on_error,
         )
@@ -586,7 +584,6 @@ class Datacenter:
         checks: Optional[Union[CheckConfig, str]] = None,
         windows: Optional[Union[WindowConfig, int, float]] = None,
         keep_records: bool = True,
-        timeout_s: Optional[float] = None,
         retries: int = 0,
     ) -> DatacenterResult:
         """Place ``members``, run every busy node (sharded), aggregate.
@@ -602,10 +599,8 @@ class Datacenter:
         every node's events, replayed in node order.
         ``keep_records=False`` exchanges only compact per-node summaries
         with the workers (no epoch records cross the process boundary).
-        ``timeout_s``/``retries`` bound and re-attempt each node's run
-        (see :func:`~repro.datacenter.shard.run_shards`) — a node that
-        fails transiently succeeds on a retry instead of sinking the
-        whole datacenter run.
+        ``retries`` re-attempts each failing node's run (see
+        :func:`~repro.datacenter.shard.run_shards`).
         """
         assignment = placement.assign(members, self.specs)
         node_indices, outcomes = self._run_assignment(
@@ -620,7 +615,6 @@ class Datacenter:
             checks=checks,
             windows=windows,
             keep_records=keep_records,
-            timeout_s=timeout_s,
             retries=retries,
         )
         summaries = tuple(outcome.summary for outcome in outcomes)
@@ -686,7 +680,6 @@ class Datacenter:
         faults: Optional[FaultPlan] = None,
         checks: Optional[Union[CheckConfig, str]] = None,
         windows: Optional[Union[WindowConfig, int, float]] = None,
-        timeout_s: Optional[float] = None,
         retries: int = 0,
         chaos: Optional[ClusterFaultPlan] = None,
         quarantine: Optional[Quarantine] = None,
@@ -722,7 +715,9 @@ class Datacenter:
         fail over onto the lowest-``E_S`` feasible survivors (unless the
         guard disables failover), their last good summary keeps scoring
         for them up to a staleness cap, and corrupt or missing summaries
-        are detected and dropped. Without a guard, any node failure
+        are detected and dropped. A ``chaos`` plan that names a node
+        outside the cluster raises :class:`~repro.errors.FaultError`.
+        Without a guard, any node failure
         still raises :class:`~repro.parallel.runner.ParallelRunError`
         (after ``retries`` re-attempts).
 
@@ -748,6 +743,15 @@ class Datacenter:
             )
         if resume and checkpoint_path is None:
             raise ConfigurationError("resume=True needs a checkpoint_path")
+        if chaos is not None:
+            outside = sorted(
+                {f.node for f in chaos.faults if f.node >= len(self.specs)}
+            )
+            if outside:
+                raise FaultError(
+                    f"cluster fault plan names node(s) {outside} outside "
+                    f"this {len(self.specs)}-node cluster"
+                )
         epoch_warmup_s = (
             0.2 * epoch_duration_s if warmup_s is None else warmup_s
         )
@@ -885,7 +889,6 @@ class Datacenter:
                 checks=checks,
                 windows=windows,
                 keep_records=False,
-                timeout_s=timeout_s,
                 offset_s=epoch * epoch_duration_s,
                 retries=retries,
                 on_error="salvage" if guard is not None else "raise",

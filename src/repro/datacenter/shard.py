@@ -48,7 +48,6 @@ from repro.parallel.runner import (
     PointFailure,
     resolve_jobs,
     run_with_recovery,
-    summarize_failures,
 )
 from repro.schedulers.base import Scheduler
 
@@ -309,24 +308,18 @@ ON_ERROR_MODES = ("raise", "salvage")
 class ShardReport:
     """Partial node outcomes plus a structured per-node failure report.
 
-    The datacenter-shaped sibling of
-    :class:`~repro.parallel.runner.BatchReport`, returned by
-    :func:`run_shards` in ``on_error="salvage"`` mode. ``outcomes``
-    aligns with submission order (``None`` where the node's run
-    ultimately failed); :meth:`completed` re-keys survivors by their
-    **node index** — the currency of the datacenter layer — and
-    ``failed_nodes`` names the casualties the degraded epoch loop feeds
-    into quarantine.
+    Returned by :func:`run_shards` in ``on_error="salvage"`` mode.
+    ``outcomes`` aligns with submission order (``None`` where the node's
+    run ultimately failed); ``failures`` holds one
+    :class:`~repro.parallel.runner.PointFailure` per failed node;
+    :meth:`completed` re-keys survivors by their **node index** — the
+    currency of the datacenter layer — and ``failed_nodes`` names the
+    casualties the degraded epoch loop feeds into quarantine.
     """
 
     items: Tuple[NodeRun, ...]
     outcomes: Tuple[Optional[NodeOutcome], ...]
     failures: Tuple[PointFailure, ...] = ()
-
-    @property
-    def ok(self) -> bool:
-        """Whether every node run succeeded."""
-        return not self.failures
 
     def completed(self) -> Dict[int, NodeOutcome]:
         """Map node index → outcome for every node that succeeded."""
@@ -342,19 +335,11 @@ class ShardReport:
             sorted(self.items[failure.index].node_index for failure in self.failures)
         )
 
-    def failure_report(self) -> List[Dict[str, object]]:
-        """JSON-safe failure dicts, each tagged with its node index."""
-        report = summarize_failures(self.failures)
-        for entry, failure in zip(report, self.failures):
-            entry["node_index"] = self.items[failure.index].node_index
-        return report
-
 
 def run_shards(
     items: Sequence[NodeRun],
     jobs: Optional[int] = None,
     *,
-    timeout_s: Optional[float] = None,
     retries: int = 0,
     on_error: str = "raise",
 ) -> Union[List[NodeOutcome], ShardReport]:
@@ -362,9 +347,8 @@ def run_shards(
 
     ``jobs=1`` runs serially in-process through the *same* worker
     function the pool uses, so the two paths are byte-identical.
-    ``timeout_s``/``retries`` follow
-    :func:`repro.parallel.runner.run_with_recovery` (per-node timeout,
-    deterministic backoff, stuck-worker recycling).
+    ``retries`` re-runs a failing node up to that many extra times (see
+    :func:`repro.parallel.runner.run_with_recovery`).
 
     ``on_error="raise"`` (default) raises
     :class:`~repro.parallel.runner.ParallelRunError` at the first
@@ -386,7 +370,6 @@ def run_shards(
         _run_node,
         items,
         jobs=workers,
-        timeout_s=timeout_s,
         retries=retries,
         stop_on_failure=on_error == "raise",
     )

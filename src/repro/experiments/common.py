@@ -226,8 +226,3 @@ def run_strategies(
     return dict(
         zip(strategies, run_many(points, jobs=jobs, tracer=tracer, metrics=metrics))
     )
-
-
-def load_sweep(values: Sequence[float] = (0.1, 0.3, 0.5, 0.7, 0.9)) -> List[float]:
-    """The paper's standard 10%–90% load sweep grid."""
-    return list(values)

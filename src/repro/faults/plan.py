@@ -335,7 +335,11 @@ def fault_preset(name: str, intensity: float = 1.0) -> FaultPlan:
     """Build a named preset :class:`FaultPlan` at the given intensity.
 
     ``intensity`` scales window lengths and fault magnitudes; 0 returns an
-    empty plan (the clean baseline of an escalation sweep).
+    empty plan (the clean baseline of an escalation sweep). Presets are
+    written for the canonical mix, so a fault whose target application
+    is absent from the run's mix injects nothing (the ``load-spike``
+    faults on ``xapian``, for instance, are skipped in a mix without
+    it); a user plan's targets are checked by the CLI instead.
     """
     if name not in FAULT_PRESETS:
         raise FaultError(

@@ -2,13 +2,10 @@
 
 from repro.parallel.runner import (
     JOBS_ENV_VAR,
-    ON_ERROR_MODES,
-    BatchReport,
     ParallelRunError,
     PointFailure,
     RunGrid,
     RunPoint,
-    backoff_s,
     chunk_spans,
     default_jobs,
     estimate_point_cost_s,
@@ -20,14 +17,11 @@ from repro.parallel.runner import (
 )
 
 __all__ = [
-    "BatchReport",
     "JOBS_ENV_VAR",
-    "ON_ERROR_MODES",
     "ParallelRunError",
     "PointFailure",
     "RunGrid",
     "RunPoint",
-    "backoff_s",
     "chunk_spans",
     "default_jobs",
     "estimate_point_cost_s",

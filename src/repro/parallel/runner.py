@@ -20,20 +20,16 @@ simulated clock, and the per-process memo caches (gamma quantiles,
 sojourn times, reserve cores) only ever store pure-function results.
 Worker processes therefore produce bit-identical
 :class:`~repro.cluster.run.RunResult` summaries to the serial path, and
-``--jobs 4`` output is byte-identical to ``--jobs 1``. Retry backoff is
-attempt-indexed (``base · 2^attempt``) — no wall-clock randomness.
+``--jobs 4`` output is byte-identical to ``--jobs 1``.
 
 Failure handling
 ----------------
-``on_error="raise"`` (the default) aborts the batch on the first failing
-point with a :class:`ParallelRunError` that carries the failing point's
-parameters **and** the results completed before the failure
-(``error.completed``), so callers can salvage finished work.
-``on_error="salvage"`` never raises for worker failures: it returns a
-:class:`BatchReport` with results for every succeeding point and a
-structured :class:`PointFailure` record per failing one. Both modes
-honour ``timeout_s`` (per-point, enforced via the pool) and ``retries``
-with deterministic exponential backoff.
+A point fails the same way on every attempt, so :func:`run_many` aborts
+the batch on the first failing point with a :class:`ParallelRunError`
+carrying the point's parameters and the results completed before it
+(``error.completed``). The engine underneath, :func:`run_with_recovery`,
+returns ``(results, failures)``; the datacenter layer builds its
+per-node salvage report on it.
 
 Dispatch architecture
 ---------------------
@@ -53,12 +49,6 @@ The pool path is built for sweeps of many small points:
   in-process path when the whole batch is cheaper than the dispatch
   overhead; serial and pooled paths are bit-identical, so this is purely
   a scheduling decision.
-* **Stuck-worker recycling** — a per-point timeout cannot kill a running
-  worker, so after a timeout the pool is *recycled* (abandoned workers
-  terminated, fresh pool built) before anything is resubmitted; retries
-  therefore always land on live workers. An item whose original worker
-  was abandoned mid-run may execute twice — acceptable for the pure
-  simulation workloads this module exists for.
 """
 
 from __future__ import annotations
@@ -67,9 +57,7 @@ import atexit
 import functools
 import math
 import os
-import time
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
-from concurrent.futures import TimeoutError as FuturesTimeoutError
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import (
     Any,
@@ -95,9 +83,6 @@ from repro.obs.windows import WindowConfig
 #: Environment variable consulted when no explicit worker count is given.
 JOBS_ENV_VAR = "REPRO_JOBS"
 
-#: The failure-handling modes :func:`run_many` understands.
-ON_ERROR_MODES = ("raise", "salvage")
-
 #: Process-wide default set by the CLI's ``--jobs`` flag (``None`` defers
 #: to the environment variable, then to ``os.cpu_count()``).
 _default_jobs: Optional[int] = None
@@ -106,10 +91,10 @@ _default_jobs: Optional[int] = None
 #: enough that a straggler chunk cannot idle the rest of the pool.
 CHUNKS_PER_WORKER = 4
 
-#: Rough wall-clock cost of one simulated epoch (seconds), calibrated
-#: from ``benchmarks/perf/BENCH_sweep.json`` (a 180-epoch run costs
-#: ~60 ms warm). Only used to *rank* batches against the dispatch
-#: overhead, so an order-of-magnitude estimate is plenty.
+#: Rough wall-clock cost of one simulated epoch (seconds), the order of
+#: perfbench's ``cluster.run.us_per_epoch`` layer metric (see
+#: ``perfbench/DESIGN.md``). Only used to *rank* batches against the
+#: dispatch overhead, so an order-of-magnitude estimate is plenty.
 EPOCH_COST_ESTIMATE_S = 3e-4
 
 #: Batches whose estimated total work falls below this stay serial: the
@@ -134,10 +119,7 @@ class _WarmPoolManager:
     """A process pool created once and reused across batches.
 
     ``acquire`` hands out the live pool (rebuilding it when the worker
-    count changes or the pool broke); ``recycle`` abandons a pool whose
-    worker may be stuck — per-point timeouts cannot preempt a running
-    task — terminating its processes best-effort and building a fresh
-    pool so retries land on live workers.
+    count changes or the pool broke); ``shutdown`` tears it down.
     """
 
     def __init__(self) -> None:
@@ -159,11 +141,6 @@ class _WarmPoolManager:
         self._workers = workers
         return self._pool
 
-    def recycle(self, workers: int) -> ProcessPoolExecutor:
-        """Abandon the current pool (stuck/broken workers) and rebuild."""
-        self.shutdown(wait=False, terminate=True)
-        return self.acquire(workers)
-
     def shutdown(self, wait: bool = True, terminate: bool = False) -> None:
         pool = self._pool
         self._pool = None
@@ -171,7 +148,7 @@ class _WarmPoolManager:
         if pool is None:
             return
         if terminate:
-            # A stuck worker never drains its queue, so it is terminated
+            # A busy worker never drains its queue, so it is terminated
             # rather than waited for — and then *joined* (with a SIGKILL
             # escalation for workers that catch SIGTERM): tearing the old
             # executor down concurrently with building its replacement is
@@ -300,7 +277,7 @@ class ParallelRunError(ReproError):
 
     ``completed`` maps batch index → :class:`RunResult` for every point
     that finished before the batch aborted, so a long sweep's surviving
-    work can be salvaged even in the default ``raise`` mode.
+    work can be salvaged.
     """
 
     def __init__(
@@ -323,8 +300,7 @@ class ParallelRunError(ReproError):
 class PointFailure:
     """Structured record of one item's final failure in a batch.
 
-    ``attempts`` counts executions including retries; ``timed_out`` marks
-    per-point timeouts (the final attempt exceeded ``timeout_s``).
+    ``attempts`` counts executions including retries.
     """
 
     index: int
@@ -332,84 +308,19 @@ class PointFailure:
     error_type: str
     message: str
     attempts: int = 1
-    timed_out: bool = False
     #: The final exception object (excluded from equality/repr).
     error: Optional[BaseException] = field(default=None, repr=False, compare=False)
 
     def describe(self) -> str:
         """Human-readable one-liner for reports."""
-        how = "timed out" if self.timed_out else "failed"
         return (
-            f"point #{self.index} {how} after {self.attempts} attempt(s): "
+            f"point #{self.index} failed after {self.attempts} attempt(s): "
             f"{self.error_type}: {self.message}"
         )
 
-    def as_dict(self) -> Dict[str, Any]:
-        """A JSON-safe dict (the exception object is omitted)."""
-        return {
-            "index": self.index,
-            "error_type": self.error_type,
-            "message": self.message,
-            "attempts": self.attempts,
-            "timed_out": self.timed_out,
-        }
-
-
-def summarize_failures(
-    failures: Sequence["PointFailure"],
-) -> List[Dict[str, Any]]:
-    """Fold a failure list into JSON-safe dicts (for logs and artefacts).
-
-    The shared report shape behind :meth:`BatchReport.failure_report`
-    and the datacenter layer's
-    :meth:`~repro.datacenter.shard.ShardReport.failure_report`.
-    """
-    return [failure.as_dict() for failure in failures]
-
-
-@dataclass(frozen=True)
-class BatchReport:
-    """Partial results plus a structured failure report (salvage mode).
-
-    ``results`` aligns with submission order; failed points hold ``None``.
-    """
-
-    results: Tuple[Optional[RunResult], ...]
-    failures: Tuple[PointFailure, ...] = ()
-
-    @property
-    def ok(self) -> bool:
-        """Whether every point succeeded."""
-        return not self.failures
-
-    def completed(self) -> Dict[int, RunResult]:
-        """Map batch index → result for every succeeding point."""
-        return {
-            index: result
-            for index, result in enumerate(self.results)
-            if result is not None
-        }
-
-    def failure_report(self) -> List[Dict[str, Any]]:
-        """The failures as JSON-safe dicts (for logs and artefacts)."""
-        return summarize_failures(self.failures)
-
-
-def backoff_s(base_s: float, attempt: int) -> float:
-    """Deterministic exponential backoff: ``base_s · 2^attempt``.
-
-    Indexed by the attempt number — no wall-clock randomness, so retry
-    schedules are reproducible.
-    """
-    return base_s * (2.0 ** attempt)
-
 
 def _failure(
-    index: int,
-    item: Any,
-    error: BaseException,
-    attempts: int,
-    timed_out: bool = False,
+    index: int, item: Any, error: BaseException, attempts: int
 ) -> PointFailure:
     """Build the :class:`PointFailure` record for one exhausted item."""
     return PointFailure(
@@ -418,7 +329,6 @@ def _failure(
         error_type=type(error).__name__,
         message=str(error),
         attempts=attempts,
-        timed_out=timed_out,
         error=error,
     )
 
@@ -428,13 +338,11 @@ def run_with_recovery(
     items: Sequence[Any],
     *,
     jobs: Optional[int] = None,
-    timeout_s: Optional[float] = None,
     retries: int = 0,
-    retry_backoff_s: float = 0.0,
     stop_on_failure: bool = False,
     force_pool: bool = False,
 ) -> Tuple[List[Optional[Any]], List[PointFailure]]:
-    """Execute ``fn(item)`` for every item with bounded retry and timeout.
+    """Execute ``fn(item)`` for every item with bounded retry.
 
     The generic engine underneath :func:`run_many`, usable with any
     picklable ``fn``. Returns ``(results, failures)``: ``results`` aligns
@@ -442,36 +350,19 @@ def run_with_recovery(
     ``failures`` lists one :class:`PointFailure` per exhausted item in
     submission order.
 
-    ``retries`` re-executes a failing item up to that many extra times,
-    sleeping :func:`backoff_s` between retry passes. ``timeout_s`` bounds
-    each attempt's wall-clock; enforcing it requires a worker process, so
-    a timeout forces the pool path even for ``jobs=1`` (the plain serial
-    path cannot preempt a running call). A timed-out attempt's worker may
-    be stuck, so the warm pool is **recycled** before anything is
-    resubmitted — the stuck process is terminated best-effort and the
-    retry runs on a fresh worker (an abandoned item may as a result
-    execute twice; ``fn`` should be effectively pure).
+    ``retries`` re-executes a failing item up to that many extra times.
     ``stop_on_failure`` aborts the batch at the first exhausted item
-    (pending work is cancelled; items after the failure stay ``None``).
-    ``force_pool`` routes even a one-worker no-timeout batch through the
-    warm process pool — the two paths are bit-identical, so this exists
-    purely so benchmarks and determinism tests can measure/exercise the
-    pool machinery directly.
+    (items after the failure stay ``None``). ``force_pool`` routes even a
+    one-worker batch through the warm process pool — the two paths are
+    bit-identical, so this exists purely so benchmarks and determinism
+    tests can measure/exercise the pool machinery directly.
 
-    Without a timeout, the pool path submits **chunks** of consecutive
-    items (a few per worker) to the warm pool and re-assembles results by
-    index; failing items are then retried individually in batched retry
-    passes. With a timeout, items are submitted one future each so the
-    per-item deadline stays enforceable.
+    The pool path submits **chunks** of consecutive items (a few per
+    worker) to the warm pool and re-assembles results by index; failing
+    items are then retried individually in batched retry passes.
     """
     if retries < 0:
         raise ConfigurationError(f"retries cannot be negative: {retries}")
-    if retry_backoff_s < 0:
-        raise ConfigurationError(
-            f"retry backoff cannot be negative: {retry_backoff_s}"
-        )
-    if timeout_s is not None and timeout_s <= 0:
-        raise ConfigurationError(f"timeout must be positive: {timeout_s}")
     batch = list(items)
     results: List[Optional[Any]] = [None] * len(batch)
     failures: List[PointFailure] = []
@@ -479,12 +370,10 @@ def run_with_recovery(
         return results, failures
 
     workers = min(resolve_jobs(jobs), len(batch))
-    if workers == 1 and timeout_s is None and not force_pool:
+    if workers == 1 and not force_pool:
         for index, item in enumerate(batch):
             last: Optional[BaseException] = None
-            for attempt in range(retries + 1):
-                if attempt and retry_backoff_s:
-                    time.sleep(backoff_s(retry_backoff_s, attempt - 1))
+            for _ in range(retries + 1):
                 try:
                     results[index] = fn(item)
                     last = None
@@ -497,16 +386,9 @@ def run_with_recovery(
                     break
         return results, failures
 
-    if timeout_s is not None:
-        _run_pooled_timeout(
-            fn, batch, workers, timeout_s, retries, retry_backoff_s,
-            stop_on_failure, results, failures,
-        )
-    else:
-        _run_pooled_chunked(
-            fn, batch, workers, retries, retry_backoff_s,
-            stop_on_failure, results, failures,
-        )
+    _run_pooled_chunked(
+        fn, batch, workers, retries, stop_on_failure, results, failures
+    )
     return results, failures
 
 
@@ -549,12 +431,11 @@ def _run_pooled_chunked(
     batch: List[Any],
     workers: int,
     retries: int,
-    retry_backoff_s: float,
     stop_on_failure: bool,
     results: List[Optional[Any]],
     failures: List[PointFailure],
 ) -> None:
-    """Chunked execution on the warm pool (the no-timeout fast path)."""
+    """Chunked execution on the warm pool."""
     count = len(batch)
     pool = _pools.acquire(workers)
     chunk_futures = [
@@ -576,12 +457,9 @@ def _run_pooled_chunked(
                 errors[start + offset] = payload
 
     attempts = {index: 1 for index in errors}
-    for retry_pass in range(1, retries + 1):
+    for _ in range(retries):
         if not errors:
             break
-        delay = backoff_s(retry_backoff_s, retry_pass - 1)
-        if delay:
-            time.sleep(delay)
         pool = _pools.acquire(workers)  # rebuilt automatically if broken
         retry_futures = [
             (index, pool.submit(fn, batch[index])) for index in sorted(errors)
@@ -602,71 +480,6 @@ def _run_pooled_chunked(
         del failures[1:]
         for index in range(failures[0].index + 1, count):
             results[index] = None
-
-
-def _run_pooled_timeout(
-    fn: Callable[[Any], Any],
-    batch: List[Any],
-    workers: int,
-    timeout_s: float,
-    retries: int,
-    retry_backoff_s: float,
-    stop_on_failure: bool,
-    results: List[Optional[Any]],
-    failures: List[PointFailure],
-) -> None:
-    """Per-item futures with a deadline; recycles the pool on timeouts."""
-    count = len(batch)
-    pool = _pools.acquire(workers)
-    pending = {index: pool.submit(fn, batch[index]) for index in range(count)}
-
-    def resubmit_not_done(from_index: int) -> None:
-        # After a recycle: futures that already completed keep their
-        # results; everything else belonged to the abandoned pool and is
-        # resubmitted to the fresh one. "Completed" must be checked
-        # against the *outcome*, not just done(): the abandoned
-        # executor's teardown fails every future still pending there
-        # with BrokenProcessPool — those are poisoned, not finished,
-        # and keeping them would fail the whole tail of the batch.
-        for j in range(from_index, count):
-            future = pending[j]
-            if future.done() and not future.cancelled():
-                error = future.exception()
-                if error is None or not isinstance(error, BrokenExecutor):
-                    continue  # a real result or a genuine work failure
-            pending[j] = pool.submit(fn, batch[j])
-
-    for index, item in enumerate(batch):
-        failure: Optional[PointFailure] = None
-        for attempt in range(retries + 1):
-            if attempt:
-                delay = backoff_s(retry_backoff_s, attempt - 1)
-                if delay:
-                    time.sleep(delay)
-                pending[index] = pool.submit(fn, item)
-            try:
-                results[index] = pending[index].result(timeout=timeout_s)
-                failure = None
-                break
-            except FuturesTimeoutError as exc:
-                failure = _failure(index, item, exc, attempt + 1, timed_out=True)
-                # The worker behind this future may be stuck; a retry on
-                # the same pool could queue behind it forever. Recycle,
-                # then move the not-yet-done tail onto live workers.
-                pool = _pools.recycle(workers)
-                resubmit_not_done(index + 1)
-            except BrokenExecutor as exc:
-                failure = _failure(index, item, exc, attempt + 1)
-                pool = _pools.recycle(workers)
-                resubmit_not_done(index + 1)
-            except Exception as exc:
-                failure = _failure(index, item, exc, attempt + 1)
-        if failure is not None:
-            failures.append(failure)
-            if stop_on_failure:
-                for j in range(index + 1, count):
-                    pending[j].cancel()
-                return
 
 
 def _execute_point(point: RunPoint) -> RunResult:
@@ -719,8 +532,8 @@ def _execute_point_instrumented(
 def estimate_point_cost_s(point: RunPoint) -> float:
     """Estimated wall-clock cost of one point (seconds, order of magnitude).
 
-    A run's work is proportional to its epoch count; the constant comes
-    from the committed bench numbers. Used only to decide whether a batch
+    A run's work is proportional to its epoch count; the constant is
+    :data:`EPOCH_COST_ESTIMATE_S`. Used only to decide whether a batch
     is worth dispatching to worker processes at all.
     """
     epochs = point.duration_s / point.collocation.epoch_s
@@ -751,27 +564,19 @@ def run_many(
     *,
     tracer: Optional[Tracer] = None,
     metrics: Optional[MetricsRegistry] = None,
-    on_error: str = "raise",
-    timeout_s: Optional[float] = None,
-    retries: int = 0,
-    retry_backoff_s: float = 0.0,
     force_pool: bool = False,
     windows: Optional[WindowConfig] = None,
-):
+) -> List[RunResult]:
     """Execute every point, returning results in submission order.
 
     ``jobs=1`` (or a single point) runs serially in-process; anything
     larger uses a ``ProcessPoolExecutor`` with ``min(jobs, len(points))``
     workers.
 
-    ``on_error="raise"`` (default) aborts at the first failing point with
-    a :class:`ParallelRunError` carrying the already-completed results in
-    its ``completed`` attribute, and returns a plain ``List[RunResult]``
-    when everything succeeds. ``on_error="salvage"`` always returns a
-    :class:`BatchReport`: results for every succeeding point plus a
-    structured failure report — one worker crashing or timing out no
-    longer discards the rest of the sweep. ``timeout_s``, ``retries`` and
-    ``retry_backoff_s`` follow :func:`run_with_recovery`.
+    The batch aborts at the first failing point with a
+    :class:`ParallelRunError` carrying the already-completed results in
+    its ``completed`` attribute. A point is a pure function of its
+    parameters, so it is not retried.
 
     When ``tracer`` or ``metrics`` is given, every point runs with its own
     collecting tracer and registry (inside the worker process, when
@@ -799,10 +604,6 @@ def run_many(
     overrides both that heuristic and the ``jobs=1`` serial shortcut so
     the pool path itself can be benchmarked and tested.
     """
-    if on_error not in ON_ERROR_MODES:
-        raise ConfigurationError(
-            f"on_error must be one of {ON_ERROR_MODES}, got {on_error!r}"
-        )
     batch = list(points)
     known = _known_strategies()
     for index, point in enumerate(batch):
@@ -818,7 +619,7 @@ def run_many(
                 "composite 'switchback:<a>:<b>:<epochs>' names"
             )
     if not batch:
-        return [] if on_error == "raise" else BatchReport(results=())
+        return []
     if windows is not None:
         config = WindowConfig.of(windows)
         batch = [
@@ -839,7 +640,7 @@ def run_many(
         fn = _execute_point
 
     effective_jobs = jobs
-    if not force_pool and timeout_s is None and resolve_jobs(jobs) > 1:
+    if not force_pool and resolve_jobs(jobs) > 1:
         estimated_work_s = sum(estimate_point_cost_s(point) for point in batch)
         if estimated_work_s < MIN_PARALLEL_WORK_S:
             effective_jobs = 1
@@ -848,18 +649,14 @@ def run_many(
         fn,
         batch,
         jobs=effective_jobs,
-        timeout_s=timeout_s,
-        retries=retries,
-        retry_backoff_s=retry_backoff_s,
-        stop_on_failure=(on_error == "raise"),
+        stop_on_failure=True,
         force_pool=force_pool,
     )
 
-    results: List[Optional[RunResult]] = []
+    results: List[RunResult] = []
     for index, (point, outcome) in enumerate(zip(batch, outcomes)):
         if outcome is None:
-            results.append(None)
-            continue
+            break  # the tail after the first failure never ran
         if instrumented:
             result, events, registry = outcome
             if tracer is not None:
@@ -873,15 +670,13 @@ def run_many(
             result = outcome
         results.append(result)
 
-    if on_error == "salvage":
-        return BatchReport(results=tuple(results), failures=tuple(failures))
     if failures:
         first = failures[0]
-        completed = {
-            index: result for index, result in enumerate(results) if result is not None
-        }
         raise ParallelRunError(
-            first.index, batch[first.index], first.error, completed=completed
+            first.index,
+            batch[first.index],
+            first.error,
+            completed=dict(enumerate(results)),
         ) from first.error
     return results
 
@@ -893,19 +688,10 @@ class RunGrid:
     Accumulate points with :meth:`add` (each returns its index), then call
     :meth:`run` for results in insertion order, or :meth:`run_tagged` for
     ``(tag, result)`` pairs — the natural shape for heatmap grids.
-    ``timeout_s``/``retries``/``retry_backoff_s`` and ``on_error`` forward
-    to :func:`run_many`.
     """
 
     jobs: Optional[int] = None
     points: List[RunPoint] = field(default_factory=list)
-    tracer: Optional[Tracer] = None
-    metrics: Optional[MetricsRegistry] = None
-    on_error: str = "raise"
-    timeout_s: Optional[float] = None
-    retries: int = 0
-    retry_backoff_s: float = 0.0
-    windows: Optional[WindowConfig] = None
 
     def add(
         self,
@@ -936,25 +722,10 @@ class RunGrid:
     def __len__(self) -> int:
         return len(self.points)
 
-    def run(self):
-        """Execute the batch (see :func:`run_many` for the return shape)."""
-        return run_many(
-            self.points,
-            jobs=self.jobs,
-            tracer=self.tracer,
-            metrics=self.metrics,
-            on_error=self.on_error,
-            timeout_s=self.timeout_s,
-            retries=self.retries,
-            retry_backoff_s=self.retry_backoff_s,
-            windows=self.windows,
-        )
+    def run(self) -> List[RunResult]:
+        """Execute the batch with :func:`run_many`; results in insertion order."""
+        return run_many(self.points, jobs=self.jobs)
 
     def run_tagged(self) -> List[Tuple[Optional[Hashable], RunResult]]:
-        """``(tag, result)`` pairs in insertion order (``raise`` mode only)."""
-        if self.on_error != "raise":
-            raise ConfigurationError(
-                "run_tagged() needs on_error='raise'; use run() and "
-                "BatchReport for salvage semantics"
-            )
+        """``(tag, result)`` pairs in insertion order."""
         return [(point.tag, result) for point, result in zip(self.points, self.run())]

@@ -55,8 +55,8 @@ STATIONARY_RHO_LIMIT = 0.995
 #: Master switch for the hot-path memoisation below. The uncached path
 #: evaluates ``gammaincinv(shape, q) * scale`` afresh on every call, which
 #: is how scipy itself computes ``gamma.ppf(q, a, scale)``, so both paths
-#: are numerically identical. The switch exists so the perf harness
-#: (``benchmarks/perf/bench_sweep.py``) can measure the speedup and the
+#: are numerically identical. The switch exists so the speedup can be
+#: measured (``perfbench/`` reports the cache hit ratios) and the
 #: property tests can compare both paths. ``scipy.stats`` is deliberately
 #: not imported here: it costs ≈ 0.8 s of every cold ``import repro``, and
 #: ``stats.gamma.ppf`` is needed only as the reference oracle in the tests.

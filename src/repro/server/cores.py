@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, Mapping, Sequence
+from typing import Dict, Sequence
 
 from repro.errors import ModelError
 
@@ -121,11 +121,3 @@ def share_cores(
     for d in demands:
         allocation.setdefault(d.name, 0.0)
     return allocation
-
-
-def pressure_weights(demands: Mapping[str, float]) -> Dict[str, float]:
-    """Normalise a demand map into weights summing to 1 (helper for telemetry)."""
-    total = sum(demands.values())
-    if total <= 0:
-        return {name: 0.0 for name in demands}
-    return {name: value / total for name, value in demands.items()}

@@ -357,13 +357,13 @@ class TestRunShardsFailurePolicy:
         items = _node_items([ARQScheduler, _Boom(), ARQScheduler])
         report = run_shards(items, jobs=1, on_error="salvage")
         assert isinstance(report, ShardReport)
-        assert not report.ok
         assert report.failed_nodes() == (1,)
         assert report.outcomes[1] is None
         assert sorted(report.completed()) == [0, 2]
-        (entry,) = report.failure_report()
-        assert entry["node_index"] == 1
-        assert "boom" in entry["message"]
+        (failure,) = report.failures
+        assert report.items[failure.index].node_index == 1
+        assert failure.attempts == 1
+        assert "boom" in failure.message and "boom" in failure.describe()
 
     def test_raise_mode_propagates_the_first_failure(self):
         items = _node_items([ARQScheduler, _Boom()])
@@ -373,7 +373,7 @@ class TestRunShardsFailurePolicy:
     def test_empty_salvage_is_an_empty_report(self):
         report = run_shards([], jobs=1, on_error="salvage")
         assert isinstance(report, ShardReport)
-        assert report.ok and report.completed() == {}
+        assert report.failures == () and report.completed() == {}
 
     def test_on_error_validated(self):
         with pytest.raises(ConfigurationError, match="on_error"):

@@ -16,6 +16,8 @@ from repro.obs.export import (
     write_json,
 )
 from repro.cluster.run import run_collocation
+from repro.datacenter.chaos import ClusterFaultPlan, NodeCrash
+from repro.faults.plan import FaultPlan, LoadSpike
 from repro.schedulers import UnmanagedScheduler
 
 
@@ -129,6 +131,12 @@ class TestCLI:
                 ["windows", "dump", "{list_trace}", "--out", "{out}"],
                 "must be a JSON object",
             ),
+            (["run", "--faults", "{app_plan}"], "nosuchapp"),
+            (
+                ["datacenter", "--nodes", "2", "--epochs", "1"]
+                + ["--chaos", "{node_plan}"],
+                "node(s) [999] outside",
+            ),
         ],
     )
     def test_library_errors_are_one_line(self, capsys, tmp_path, argv, message):
@@ -137,9 +145,15 @@ class TestCLI:
             "out": tmp_path / "w.jsonl",
             "list_plan": tmp_path / "list_plan.json",
             "list_trace": tmp_path / "list_trace.jsonl",
+            "app_plan": tmp_path / "app_plan.json",
+            "node_plan": tmp_path / "node_plan.json",
         }
         paths["list_plan"].write_text("[1]\n")
         paths["list_trace"].write_text("[1]\n")
+        FaultPlan(faults=(LoadSpike(application="nosuchapp"),)).save(
+            paths["app_plan"]
+        )
+        ClusterFaultPlan(faults=(NodeCrash(node=999),)).save(paths["node_plan"])
         assert main([arg.format(**paths) for arg in argv]) == 2
         captured = capsys.readouterr()
         lines = captured.err.splitlines()

@@ -1,26 +1,14 @@
-"""Chunked dispatch, warm-pool recycling and pool-path determinism."""
+"""Chunked dispatch and pool-path determinism."""
 
 from __future__ import annotations
-
-import time
 
 import pytest
 
 from repro.experiments.common import canonical_mix
-from repro.parallel import RunPoint, run_many, run_with_recovery
-from repro.parallel.runner import CHUNKS_PER_WORKER, chunk_spans, shutdown_pool
+from repro.parallel import RunPoint, run_many
+from repro.parallel.runner import CHUNKS_PER_WORKER, chunk_spans
 
 DURATION_S = 20.0
-
-
-def _double(x):
-    return 2 * x
-
-
-def _hang_on_marker(x):
-    if x == "hang":
-        time.sleep(3600.0)
-    return x
 
 
 class TestChunkSpans:
@@ -75,46 +63,3 @@ class TestPoolPathDeterminism:
             assert isinstance(ours.time_s, float)
             assert isinstance(ours.plan_changed, bool)
 
-
-class TestStuckWorkerRecycling:
-    """A per-point timeout cannot preempt a running worker; the pool must
-    be recycled so the batch's tail and any retries land on live workers."""
-
-    def test_tail_completes_after_a_hanging_point(self):
-        results, failures = run_with_recovery(
-            _hang_on_marker,
-            [1, "hang", 2, 3],
-            jobs=1,
-            timeout_s=1.0,
-        )
-        assert results == [1, None, 2, 3]
-        assert len(failures) == 1
-        assert failures[0].index == 1
-        assert failures[0].timed_out
-
-    def test_retry_of_a_hanging_point_runs_on_a_fresh_worker(self):
-        results, failures = run_with_recovery(
-            _hang_on_marker,
-            ["hang", 5],
-            jobs=1,
-            timeout_s=1.0,
-            retries=1,
-        )
-        # The retry executed (attempts=2) rather than queueing forever
-        # behind the stuck worker, and the healthy item still finished.
-        assert results == [None, 5]
-        assert failures[0].attempts == 2
-        assert failures[0].timed_out
-
-    def test_pool_is_healthy_after_recycling(self):
-        run_with_recovery(_hang_on_marker, ["hang"], jobs=1, timeout_s=1.0)
-        results, failures = run_with_recovery(
-            _double, [1, 2, 3], jobs=1, force_pool=True
-        )
-        assert results == [2, 4, 6]
-        assert failures == []
-
-    def teardown_method(self):
-        # Hanging workers are terminated by the recycle; make sure no
-        # stragglers outlive this test class either way.
-        shutdown_pool()

@@ -1,8 +1,6 @@
-"""Retry, timeout and salvage semantics of the hardened parallel runner."""
+"""Retry and failure semantics of the parallel runner."""
 
 from __future__ import annotations
-
-import time
 
 from pathlib import Path
 
@@ -11,13 +9,9 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.experiments.common import canonical_mix
 from repro.parallel import (
-    BatchReport,
-    ON_ERROR_MODES,
     ParallelRunError,
     PointFailure,
-    RunGrid,
     RunPoint,
-    backoff_s,
     run_many,
     run_with_recovery,
 )
@@ -37,11 +31,6 @@ def _crash_on_odd(x):
 
 def _always_crash(x):
     raise RuntimeError("boom")
-
-
-def _sleep_then_return(seconds):
-    time.sleep(seconds)
-    return seconds
 
 
 def _fail_until_marker(path_str):
@@ -70,7 +59,6 @@ class TestRunWithRecovery:
         assert all(f.error_type == "ValueError" for f in failures)
         assert failures[0].message == "odd: 1"
         assert failures[0].attempts == 1
-        assert not failures[0].timed_out
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_retries_count_attempts(self, jobs):
@@ -89,21 +77,6 @@ class TestRunWithRecovery:
         assert results == ["recovered"]
         assert failures == []
 
-    def test_timeout_marks_failure(self):
-        results, failures = run_with_recovery(
-            _sleep_then_return, [2.0], jobs=1, timeout_s=0.25
-        )
-        assert results == [None]
-        assert failures[0].timed_out
-        assert failures[0].error_type == "TimeoutError"
-
-    def test_fast_work_beats_the_timeout(self):
-        results, failures = run_with_recovery(
-            _double, [5], jobs=1, timeout_s=30.0
-        )
-        assert results == [10]
-        assert failures == []
-
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_stop_on_failure_abandons_the_tail(self, jobs):
         results, failures = run_with_recovery(
@@ -119,99 +92,29 @@ class TestRunWithRecovery:
     def test_parameter_validation(self):
         with pytest.raises(ConfigurationError, match="retries"):
             run_with_recovery(_double, [1], retries=-1)
-        with pytest.raises(ConfigurationError, match="backoff"):
-            run_with_recovery(_double, [1], retry_backoff_s=-0.1)
-        with pytest.raises(ConfigurationError, match="timeout"):
-            run_with_recovery(_double, [1], timeout_s=0.0)
 
-    def test_backoff_is_exponential_in_the_attempt(self):
-        assert backoff_s(0.1, 0) == pytest.approx(0.1)
-        assert backoff_s(0.1, 1) == pytest.approx(0.2)
-        assert backoff_s(0.1, 2) == pytest.approx(0.4)
-        assert backoff_s(0.0, 5) == 0.0
-
-    def test_point_failure_describe_and_dict(self):
+    def test_point_failure_describe(self):
         failure = PointFailure(
             index=3,
             point="p",
             error_type="ValueError",
             message="bad",
             attempts=2,
-            timed_out=True,
         )
-        text = failure.describe()
-        assert "point #3" in text and "timed out" in text and "2 attempt(s)" in text
-        assert failure.as_dict() == {
-            "index": 3,
-            "error_type": "ValueError",
-            "message": "bad",
-            "attempts": 2,
-            "timed_out": True,
-        }
+        assert failure.describe() == (
+            "point #3 failed after 2 attempt(s): ValueError: bad"
+        )
 
 
 class TestRunManyRecovery:
-    def test_on_error_is_validated(self):
-        mix = canonical_mix(0.5, seed=3)
-        point = RunPoint(mix, "unmanaged", DURATION_S, 0.0)
-        with pytest.raises(ConfigurationError, match="on_error"):
-            run_many([point], jobs=1, on_error="bogus")
-        assert set(ON_ERROR_MODES) == {"raise", "salvage"}
-
     @pytest.mark.parametrize("jobs", [1, 2])
-    def test_salvage_returns_partial_results(self, jobs):
-        mix = canonical_mix(0.5, seed=3)
-        bad = RunPoint(mix, "arq", duration_s=-5.0)
-        points = [
-            RunPoint(mix, "unmanaged", DURATION_S, 0.0),
-            bad,
-            RunPoint(mix, "lc-first", DURATION_S, 0.0),
-        ]
-        report = run_many(points, jobs=jobs, on_error="salvage")
-        assert isinstance(report, BatchReport)
-        assert not report.ok
-        assert report.results[1] is None
-        assert report.results[0] is not None and report.results[2] is not None
-        assert set(report.completed()) == {0, 2}
-        [entry] = report.failure_report()
-        assert entry["index"] == 1 and entry["attempts"] == 1
-        assert [f.point for f in report.failures] == [bad]
-
-    def test_raise_mode_attaches_completed_results(self):
+    def test_raise_mode_attaches_completed_results(self, jobs):
         mix = canonical_mix(0.5, seed=3)
         bad = RunPoint(mix, "arq", duration_s=-5.0)
         points = [RunPoint(mix, "unmanaged", DURATION_S, 0.0), bad]
         with pytest.raises(ParallelRunError) as excinfo:
-            run_many(points, jobs=1)
+            run_many(points, jobs=jobs, force_pool=True)
         assert excinfo.value.index == 1
         assert excinfo.value.point is bad
         assert set(excinfo.value.completed) == {0}
         assert excinfo.value.completed[0].records
-
-    def test_salvage_with_retries_counts_attempts(self):
-        mix = canonical_mix(0.5, seed=3)
-        bad = RunPoint(mix, "arq", duration_s=-5.0)
-        report = run_many([bad], jobs=1, on_error="salvage", retries=1)
-        assert report.results == (None,)
-        assert report.failures[0].attempts == 2
-
-    def test_salvage_empty_batch(self):
-        report = run_many([], on_error="salvage")
-        assert report == BatchReport(results=())
-        assert report.ok
-
-    def test_salvage_matches_raiseless_results(self):
-        mix = canonical_mix(0.5, seed=3)
-        points = [
-            RunPoint(mix, name, DURATION_S, 0.0) for name in ("unmanaged", "arq")
-        ]
-        plain = run_many(points, jobs=1)
-        report = run_many(points, jobs=1, on_error="salvage")
-        assert report.ok
-        assert [r.records for r in report.results] == [r.records for r in plain]
-
-    def test_run_tagged_rejects_salvage(self):
-        grid = RunGrid(on_error="salvage")
-        grid.add(canonical_mix(0.5, seed=3), "unmanaged", DURATION_S, 0.0)
-        with pytest.raises(ConfigurationError, match="on_error"):
-            grid.run_tagged()

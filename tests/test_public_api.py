@@ -50,7 +50,6 @@ EXPECTED_PUBLIC_NAMES = {
     "RunGrid",
     "RunPoint",
     "run_many",
-    "BatchReport",
     "PointFailure",
     # datacenter scale
     "Assignment",
