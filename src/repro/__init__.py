@@ -49,9 +49,7 @@ from repro.datacenter import (
     ClusterFaultPlan,
     Datacenter,
     DatacenterCheckpoint,
-    DatacenterResult,
     DatacenterTimeline,
-    EntropyAwarePlacement,
     EntropyGuidedMigration,
     MigrationPolicy,
     Move,
@@ -61,7 +59,6 @@ from repro.datacenter import (
     NodeStraggle,
     Placement,
     Quarantine,
-    RoundRobinPlacement,
     ShardReport,
     SummaryCorruption,
     SummaryLoss,
@@ -191,10 +188,8 @@ __all__ = [
     "ConstantLoad",
     "Datacenter",
     "DatacenterCheckpoint",
-    "DatacenterResult",
     "DatacenterTimeline",
     "DiurnalLoad",
-    "EntropyAwarePlacement",
     "EntropyGuidedMigration",
     "Estimate",
     "FaultError",
@@ -234,7 +229,6 @@ __all__ = [
     "RegionPlan",
     "ReproError",
     "ResourceVector",
-    "RoundRobinPlacement",
     "RunConfig",
     "RunGrid",
     "RunPoint",

@@ -36,12 +36,9 @@ from repro.datacenter import (  # noqa: F401
     ClusterFaultPlan,
     Datacenter,
     DatacenterCheckpoint,
-    DatacenterResult,
     DatacenterTimeline,
-    EntropyAwarePlacement,
     EntropyGuidedMigration,
     Quarantine,
-    RoundRobinPlacement,
     cluster_fault_preset,
     migration_policy,
 )
@@ -57,7 +54,7 @@ from repro.experiments.common import (
     run_strategies,
     run_strategy,
 )
-from repro.faults.plan import FaultPlan
+from repro.faults.plan import FaultPlan, check_targets
 from repro.obs.events import Tracer
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.windows import WindowConfig, WindowSummary
@@ -95,7 +92,9 @@ class RunConfig:
         Optional deterministic :class:`~repro.faults.plan.FaultPlan`
         applied on the simulated clock (see :mod:`repro.faults`); fault
         effects are pure functions of time, so faulted runs stay
-        bit-reproducible too.
+        bit-reproducible too. :func:`run` and :func:`compare` raise
+        :class:`~repro.errors.FaultError` for a plan that targets an
+        application outside the mix.
     checks:
         Optional runtime verification (see :mod:`repro.check`): ``"warn"``
         (or a :class:`~repro.check.invariants.CheckConfig`) collects
@@ -234,7 +233,7 @@ def run(
     elif overrides:
         config = replace(config, **overrides)  # type: ignore[arg-type]
     result = run_strategy(
-        config.collocation(),
+        _checked_collocation(config),
         config.strategy,
         config.duration_s,
         _warmup_of(config),
@@ -268,7 +267,7 @@ def compare(
     elif overrides:
         config = replace(config, **overrides)  # type: ignore[arg-type]
     results = run_strategies(
-        config.collocation(),
+        _checked_collocation(config),
         strategies,
         config.duration_s,
         _warmup_of(config),
@@ -282,6 +281,20 @@ def compare(
     return {
         name: RunSummary.from_result(result) for name, result in results.items()
     }
+
+
+def _checked_collocation(config: RunConfig) -> Collocation:
+    """The config's collocation, after checking its fault plan's targets.
+
+    A user plan that names an application outside the mix raises
+    :class:`~repro.errors.FaultError` instead of injecting nothing.
+    """
+    collocation = config.collocation()
+    if config.faults is not None:
+        check_targets(
+            config.faults, [m.name for m in (*collocation.lc, *collocation.be)]
+        )
+    return collocation
 
 
 def _warmup_of(config: RunConfig) -> float:

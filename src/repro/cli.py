@@ -96,7 +96,12 @@ from repro.experiments.common import (
 )
 from repro.datacenter.chaos import CLUSTER_FAULT_PRESETS
 from repro.datacenter.migration import MIGRATION_POLICIES
-from repro.faults.plan import FAULT_PRESETS, FaultPlan, fault_preset
+from repro.faults.plan import (
+    FAULT_PRESETS,
+    FaultPlan,
+    check_targets,
+    fault_preset,
+)
 from repro.experiments.reporting import ascii_table
 from repro.cluster.collocation import Collocation
 from repro.cluster.run import run_collocation
@@ -271,13 +276,11 @@ def _fault_plan(
     """
     if args.faults is not None:
         plan = FaultPlan.load(args.faults)
-        names = {m.name for m in collocation.lc} | {m.name for m in collocation.be}
-        unknown = sorted({t for fault in plan for t in fault.targets()} - names)
-        if unknown:
-            raise FaultError(
-                f"fault plan {args.faults!r} targets application(s) "
-                f"{', '.join(unknown)} not in the mix ({', '.join(sorted(names))})"
-            )
+        check_targets(
+            plan,
+            [m.name for m in (*collocation.lc, *collocation.be)],
+            label=f"fault plan {args.faults!r}",
+        )
         return plan
     if args.fault_preset is not None:
         plan = fault_preset(args.fault_preset, args.fault_intensity)
@@ -767,7 +770,7 @@ def _command_datacenter(args: argparse.Namespace) -> int:
     budget = args.budget if args.budget is not None else max(2, args.nodes // 8)
     policy = migration_policy(
         args.migration, budget=budget, hysteresis=args.hysteresis
-    ) if args.migration != "none" else None
+    )
     chaos = _chaos_plan(args)
     datacenter = Datacenter(specs=(NodeSpec(),) * args.nodes)
     timeline = datacenter.run_epochs(

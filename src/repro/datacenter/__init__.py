@@ -3,10 +3,9 @@
 The paper quantifies interference *within* a datacenter but evaluates on a
 single node; this package scales the machinery out:
 
-* :mod:`repro.datacenter.placement` — strategies assigning applications to
-  nodes (round-robin, reservation-aware bin packing with horizon-aware
-  peak-load pressure, and entropy-probed greedy placement that uses
-  ``E_S`` itself as the placement signal);
+* :mod:`repro.datacenter.placement` — the initial assignment of
+  applications to nodes (reservation-aware bin packing on horizon-aware
+  peak-load pressure);
 * :mod:`repro.datacenter.shard` — sharded node execution over the warm
   worker pool: :class:`NodeRun` items in, compact exact
   :class:`NodeEpochSummary` records out, byte-identical at any ``--jobs``;
@@ -14,10 +13,10 @@ single node; this package scales the machinery out:
   between global epochs (:class:`EntropyGuidedMigration`: per-node
   ``E_S`` scores in, budgeted hysteretic BE moves out);
 * :mod:`repro.datacenter.cluster` — :class:`Datacenter`: run every node's
-  collocation under a scheduling strategy (one shot, or as a global epoch
-  loop with admission and migration → :class:`DatacenterTimeline`) and
-  aggregate the observations into datacenter-level
-  ``E_LC``/``E_BE``/``E_S``;
+  collocation under a scheduling strategy as a global epoch loop with
+  admission and migration (:meth:`Datacenter.run_epochs` →
+  :class:`DatacenterTimeline`) and aggregate the observations into
+  datacenter-level ``E_LC``/``E_BE``/``E_S``;
 * :mod:`repro.datacenter.chaos` — deterministic cluster-level fault
   plans (:class:`ClusterFaultPlan`: node crash, straggle, flap, summary
   loss/corruption on half-open epoch windows, JSON round-trip);
@@ -41,7 +40,6 @@ from repro.datacenter.chaos import (
 )
 from repro.datacenter.cluster import (
     Datacenter,
-    DatacenterResult,
     DatacenterTimeline,
     GlobalEpoch,
 )
@@ -49,15 +47,12 @@ from repro.datacenter.migration import (
     EntropyGuidedMigration,
     MigrationPolicy,
     Move,
-    StaticPolicy,
     migration_policy,
 )
 from repro.datacenter.placement import (
     Assignment,
     BinPackingPlacement,
-    EntropyAwarePlacement,
     Placement,
-    RoundRobinPlacement,
     node_pressure,
     peak_load,
 )
@@ -69,7 +64,6 @@ from repro.datacenter.recovery import (
 )
 from repro.datacenter.shard import (
     NodeEpochSummary,
-    NodeOutcome,
     NodeRun,
     ShardReport,
     run_shards,
@@ -83,9 +77,7 @@ __all__ = [
     "ClusterFaultPlan",
     "Datacenter",
     "DatacenterCheckpoint",
-    "DatacenterResult",
     "DatacenterTimeline",
-    "EntropyAwarePlacement",
     "EntropyGuidedMigration",
     "GlobalEpoch",
     "MigrationPolicy",
@@ -94,14 +86,11 @@ __all__ = [
     "NodeEpochSummary",
     "NodeFaultSpec",
     "NodeFlap",
-    "NodeOutcome",
     "NodeRun",
     "NodeStraggle",
     "Placement",
     "Quarantine",
-    "RoundRobinPlacement",
     "ShardReport",
-    "StaticPolicy",
     "SummaryCorruption",
     "SummaryLoss",
     "cluster_fault_from_dict",

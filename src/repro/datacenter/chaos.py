@@ -270,12 +270,6 @@ class ClusterFaultPlan(Plan):
         """The plan's crash specs, in plan order (fig16's recovery axis)."""
         return tuple(f for f in self.faults if isinstance(f, NodeCrash))
 
-    def last_epoch(self) -> int:
-        """The last epoch any fault is active at (-1 for an empty plan)."""
-        if not self.faults:
-            return -1
-        return max(f.end_epoch for f in self.faults) - 1
-
 
 def _spread(nodes: int, count: int) -> List[int]:
     """``count`` distinct node indices spread across ``nodes`` nodes."""

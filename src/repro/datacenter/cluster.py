@@ -6,26 +6,24 @@ observations into datacenter-level entropies — ``E_S`` was designed to be
 "robust to various collocation scenarios" (§II), and pooling observations
 across nodes is exactly the holistic use the paper motivates.
 
-Two execution shapes:
-
-* :meth:`Datacenter.run` — one shot: place, run every busy node (sharded
-  across the warm worker pool when ``jobs > 1``; byte-identical to the
-  serial path at any worker count), pool the observations.
-* :meth:`Datacenter.run_epochs` — the cluster simulation: a **global
-  epoch loop** in which every node runs one segment of the cluster-wide
-  load trace per epoch, workers exchange only compact
-  :class:`~repro.datacenter.shard.NodeEpochSummary` records, and between
-  epochs an optional :class:`~repro.datacenter.migration.MigrationPolicy`
-  uses each node's measured ``E_S`` as an interference score to admit
-  arrivals and migrate BE hogs — a bounded, hysteretic rebalancing à la
-  ARQ's own move budget, one level up.
+:meth:`Datacenter.run_epochs` is the cluster simulation: a **global
+epoch loop** in which every node runs one segment of the cluster-wide
+load trace per epoch (sharded across the warm worker pool when
+``jobs > 1``; byte-identical to the serial path at any worker count),
+workers exchange only compact
+:class:`~repro.datacenter.shard.NodeEpochSummary` records, and between
+epochs an optional :class:`~repro.datacenter.migration.MigrationPolicy`
+uses each node's measured ``E_S`` as an interference score to admit
+arrivals and migrate BE hogs — a bounded, hysteretic rebalancing à la
+ARQ's own move budget, one level up. The resulting
+:class:`DatacenterTimeline` pools every node-epoch's observations.
 """
 
 from __future__ import annotations
 
 import os
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import (
     Callable,
     Dict,
@@ -38,9 +36,7 @@ from typing import (
     Union,
 )
 
-from repro.check.invariants import CheckConfig
 from repro.cluster.collocation import Collocation
-from repro.cluster.run import RunResult
 from repro.datacenter.chaos import ClusterFaultPlan
 from repro.datacenter.migration import MigrationPolicy, Move
 from repro.datacenter.placement import Assignment, Member, Placement, _is_lc
@@ -52,11 +48,9 @@ from repro.datacenter.recovery import (
 )
 from repro.datacenter.shard import (
     NodeEpochSummary,
-    NodeOutcome,
     NodeRun,
     ShardReport,
     run_shards,
-    summarize_node,
 )
 from repro.entropy.records import (
     BEObservation,
@@ -65,18 +59,13 @@ from repro.entropy.records import (
     SystemObservation,
 )
 from repro.errors import ConfigurationError, FaultError
-from repro.faults.plan import FaultPlan
 from repro.obs.events import (
     CheckpointWritten,
     NodeQuarantined,
     NodeRecovered,
     Tracer,
 )
-from repro.obs.windows import (
-    WindowConfig,
-    WindowSummary,
-    merge_window_summaries,
-)
+from repro.obs.windows import WindowConfig
 from repro.schedulers.base import Scheduler
 from repro.server.spec import NodeSpec
 from repro.workloads.loadgen import TimeShiftedLoad
@@ -87,28 +76,13 @@ from repro.workloads.loadgen import TimeShiftedLoad
 #: than any realistic node count so strides never collide with indices.
 EPOCH_SEED_STRIDE = 1_000_003
 
-#: How :meth:`DatacenterResult.pooled_observation` treats nodes whose
-#: measurement window is empty.
-ON_EMPTY_MODES = ("raise", "skip")
-
 
 def _pool_observations(
-    summaries: Sequence[NodeEpochSummary],
-    on_empty: str,
-    context: str,
+    summaries: Sequence[NodeEpochSummary], context: str
 ) -> SystemObservation:
-    """Concatenate per-node observations, handling empty nodes by policy."""
-    if on_empty not in ON_EMPTY_MODES:
-        raise ConfigurationError(
-            f"on_empty must be one of {ON_EMPTY_MODES}, got {on_empty!r}"
-        )
+    """Concatenate per-node observations, skipping (and warning about)
+    nodes that measured nothing; raise when no node measured anything."""
     empty = [s.node_index for s in summaries if not s.measured_epochs]
-    if empty and on_empty == "raise":
-        raise ConfigurationError(
-            f"{context}: node(s) {empty} measured no post-warm-up epochs "
-            f"(duration_s too short for the warm-up window?); rerun with a "
-            f"longer duration or pool with on_empty='skip'"
-        )
     populated = [s for s in summaries if s.measured_epochs]
     if not populated:
         raise ConfigurationError(
@@ -125,129 +99,6 @@ def _pool_observations(
         lc.extend(summary.lc)
         be.extend(summary.be)
     return SystemObservation(lc=tuple(lc), be=tuple(be))
-
-
-@dataclass(frozen=True)
-class DatacenterResult:
-    """Per-node runs plus the pooled datacenter summary.
-
-    ``node_indices[i]`` is the node that produced ``node_summaries[i]``
-    (and ``node_results[i]``, when records were kept) — list position is
-    **not** a node index, because empty nodes run nothing. Use
-    :meth:`result_for`/:meth:`summary_for` or :meth:`node_result_of` to
-    line results up with :attr:`assignment`.
-    """
-
-    placement_name: str
-    scheduler_name: str
-    node_results: Tuple[RunResult, ...]
-    assignment: Assignment
-    node_indices: Tuple[int, ...] = ()
-    node_summaries: Tuple[NodeEpochSummary, ...] = ()
-    #: Merged bounded window report (when the run was window-armed);
-    #: excluded from equality so windowed and plain runs compare.
-    window_report: Optional[WindowSummary] = field(
-        default=None, repr=False, compare=False
-    )
-
-    def __post_init__(self) -> None:
-        # Back-fill the index/summary channel for results built the old
-        # way (positional node_results only): positions then *are* node
-        # indices, which is only correct when no node was skipped — the
-        # historical behaviour this type now makes explicit.
-        if not self.node_indices and self.node_results:
-            object.__setattr__(
-                self, "node_indices", tuple(range(len(self.node_results)))
-            )
-        if not self.node_summaries and self.node_results:
-            object.__setattr__(
-                self,
-                "node_summaries",
-                tuple(
-                    summarize_node(index, result)
-                    for index, result in zip(self.node_indices, self.node_results)
-                ),
-            )
-
-    # -- alignment -------------------------------------------------------
-
-    def summary_for(self, node_index: int) -> NodeEpochSummary:
-        """The summary of node ``node_index`` (not a list position)."""
-        for summary in self.node_summaries:
-            if summary.node_index == node_index:
-                return summary
-        raise ConfigurationError(
-            f"node {node_index} ran no collocation (empty or out of range)"
-        )
-
-    def result_for(self, node_index: int) -> RunResult:
-        """The full run of node ``node_index`` (requires kept records)."""
-        for index, result in zip(self.node_indices, self.node_results):
-            if index == node_index:
-                return result
-        raise ConfigurationError(
-            f"node {node_index} has no kept run result (empty node, or the "
-            f"run exchanged only summaries)"
-        )
-
-    def node_result_of(self, name: str) -> RunResult:
-        """The run of the node hosting application ``name``."""
-        return self.result_for(self.assignment.node_of(name))
-
-    # -- pooled summaries ------------------------------------------------
-
-    def pooled_observation(self, on_empty: str = "raise") -> SystemObservation:
-        """All nodes' mean post-warm-up observations, pooled.
-
-        Nodes whose measurement window is empty (e.g. the warm-up left no
-        epochs) make the pool ill-defined; ``on_empty="raise"`` (default)
-        fails with a clear :class:`~repro.errors.ConfigurationError`,
-        ``on_empty="skip"`` pools the populated nodes and warns.
-        """
-        return _pool_observations(
-            self.node_summaries, on_empty, f"datacenter[{self.placement_name}]"
-        )
-
-    def breakdown(
-        self, relative_importance: float = 0.8, on_empty: str = "raise"
-    ) -> EntropyBreakdown:
-        """Datacenter-level Table II-style summary."""
-        return self.pooled_observation(on_empty).breakdown(relative_importance)
-
-    def yield_fraction(self, on_empty: str = "raise") -> float:
-        """Pooled ratio of LC applications meeting their QoS threshold."""
-        return self.pooled_observation(on_empty).yield_fraction()
-
-    def per_node_entropy(self) -> List[Optional[float]]:
-        """Each run node's mean ``E_S`` (``None`` where nothing measured).
-
-        Aligned with :attr:`node_indices`, not with raw node numbers.
-        """
-        return [summary.mean_e_s for summary in self.node_summaries]
-
-    def interference_scores(self) -> Dict[int, float]:
-        """Node index → measured mean ``E_S`` (the migration signal)."""
-        return {
-            summary.node_index: summary.mean_e_s
-            for summary in self.node_summaries
-            if summary.mean_e_s is not None
-        }
-
-    def to_dict(self, on_empty: str = "skip") -> Dict[str, object]:
-        """A deterministic JSON-ready dict of the pooled summary."""
-        breakdown = self.breakdown(on_empty=on_empty)
-        return {
-            "placement": self.placement_name,
-            "scheduler": self.scheduler_name,
-            "nodes_run": len(self.node_summaries),
-            "pooled": {
-                "e_s": breakdown.e_s,
-                "e_lc": breakdown.e_lc,
-                "e_be": breakdown.e_be,
-                "yield": self.yield_fraction(on_empty=on_empty),
-            },
-            "node_summaries": [s.to_dict() for s in self.node_summaries],
-        }
 
 
 @dataclass(frozen=True)
@@ -319,20 +170,21 @@ class DatacenterTimeline:
     epochs: Tuple[GlobalEpoch, ...]
     final_assignment: Assignment
 
-    def pooled_observation(self, on_empty: str = "skip") -> SystemObservation:
-        """Every epoch's every node observation, pooled."""
+    def pooled_observation(self) -> SystemObservation:
+        """Every epoch's every node observation, pooled.
+
+        Node-epochs that measured nothing are skipped with a warning; a
+        timeline where no node measured anything raises
+        :class:`~repro.errors.ConfigurationError`.
+        """
         summaries = [
             summary for epoch in self.epochs for summary in epoch.node_summaries
         ]
-        return _pool_observations(
-            summaries, on_empty, f"timeline[{self.migration_name}]"
-        )
+        return _pool_observations(summaries, f"timeline[{self.migration_name}]")
 
-    def breakdown(
-        self, relative_importance: float = 0.8, on_empty: str = "skip"
-    ) -> EntropyBreakdown:
+    def breakdown(self, relative_importance: float = 0.8) -> EntropyBreakdown:
         """Timeline-level pooled entropy breakdown."""
-        return self.pooled_observation(on_empty).breakdown(relative_importance)
+        return self.pooled_observation().breakdown(relative_importance)
 
     def mean_node_e_s(self) -> float:
         """Measured-epoch-weighted mean of per-node-epoch ``E_S``."""
@@ -465,16 +317,10 @@ def _validate_measured_window(
 ) -> None:
     """Fail fast when the warm-up window would leave no measured epochs.
 
-    ``run_collocation`` already rejects ``warmup_s >= duration_s``; this
-    additionally catches the epoch-granularity gap (the last epoch
-    starting *before* the warm-up boundary), which used to surface much
+    Catches the epoch-granularity gap (the last node epoch starting
+    *before* the warm-up boundary), which would otherwise surface much
     later as an opaque ``MeasurementError`` from summary pooling.
     """
-    if duration_s <= warmup_s:
-        raise ConfigurationError(
-            f"datacenter run: duration_s ({duration_s}s) must exceed "
-            f"warmup_s ({warmup_s}s) — no measured epochs would remain"
-        )
     for collocation in collocations:
         epochs = int(round(duration_s / collocation.epoch_s))
         if epochs < 1 or (epochs - 1) * collocation.epoch_s < warmup_s:
@@ -504,22 +350,17 @@ class Datacenter:
         seed: int,
         *,
         jobs: Optional[int],
-        tracer: Optional[Tracer],
-        faults: Optional[FaultPlan],
-        checks: Optional[Union[CheckConfig, str]],
         windows: Optional[Union[WindowConfig, int, float]],
-        keep_records: bool,
-        offset_s: float = 0.0,
-        retries: int = 0,
-        on_error: str = "raise",
-    ) -> Tuple[Tuple[int, ...], Union[List[NodeOutcome], ShardReport]]:
-        """Shard one assignment over the pool; outcomes in node order.
+        offset_s: float,
+        retries: int,
+        on_error: str,
+    ) -> Union[List[NodeEpochSummary], ShardReport]:
+        """Shard one assignment over the pool; summaries in node order.
 
         ``on_error="salvage"`` returns a
         :class:`~repro.datacenter.shard.ShardReport` instead of a plain
-        outcome list (the degraded epoch loop's mode).
+        summary list (the degraded epoch loop's mode).
         """
-        check_config = None if checks is None else CheckConfig.of(checks)
         window_config = None if windows is None else WindowConfig.of(windows)
         run_assignment = assignment
         if offset_s:
@@ -540,129 +381,11 @@ class Datacenter:
                 scheduler_factory=scheduler_factory,
                 duration_s=duration_s,
                 warmup_s=warmup_s,
-                faults=faults,
-                checks=check_config,
                 windows=window_config,
-                keep_records=keep_records,
-                collect_trace=tracer is not None,
             )
             for index, collocation in indexed
         ]
-        outcomes = run_shards(
-            items,
-            jobs=jobs,
-            retries=retries,
-            on_error=on_error,
-        )
-        if tracer is not None:
-            # Replay per-node events in node-index order: the sharded
-            # trace is byte-identical to the serial one at any --jobs.
-            flat = (
-                outcomes.outcomes
-                if isinstance(outcomes, ShardReport)
-                else outcomes
-            )
-            for outcome in flat:
-                if outcome is None:
-                    continue
-                for event in outcome.events:
-                    tracer.emit(event)
-        return tuple(index for index, _ in indexed), outcomes
-
-    def run(
-        self,
-        members: Sequence[Member],
-        placement: Placement,
-        scheduler_factory: Callable[[], Scheduler],
-        duration_s: float = 120.0,
-        warmup_s: float = 60.0,
-        seed: int = 2023,
-        *,
-        jobs: Optional[int] = None,
-        tracer: Optional[Tracer] = None,
-        faults: Optional[FaultPlan] = None,
-        checks: Optional[Union[CheckConfig, str]] = None,
-        windows: Optional[Union[WindowConfig, int, float]] = None,
-        keep_records: bool = True,
-        retries: int = 0,
-    ) -> DatacenterResult:
-        """Place ``members``, run every busy node (sharded), aggregate.
-
-        Each node gets a *fresh* scheduler instance (schedulers carry
-        internal state) and a distinct RNG seed (``seed + node_index``).
-        ``jobs`` fans nodes across the warm worker pool — results are
-        byte-identical at any worker count. ``faults``/``checks``/
-        ``windows`` thread through to every node's
-        :func:`~repro.cluster.run.run_collocation` (per-node window
-        reports are merged onto
-        :attr:`DatacenterResult.window_report`); ``tracer`` receives
-        every node's events, replayed in node order.
-        ``keep_records=False`` exchanges only compact per-node summaries
-        with the workers (no epoch records cross the process boundary).
-        ``retries`` re-attempts each failing node's run (see
-        :func:`~repro.datacenter.shard.run_shards`).
-        """
-        assignment = placement.assign(members, self.specs)
-        node_indices, outcomes = self._run_assignment(
-            assignment,
-            scheduler_factory,
-            duration_s,
-            warmup_s,
-            seed,
-            jobs=jobs,
-            tracer=tracer,
-            faults=faults,
-            checks=checks,
-            windows=windows,
-            keep_records=keep_records,
-            retries=retries,
-        )
-        summaries = tuple(outcome.summary for outcome in outcomes)
-        results = tuple(
-            outcome.result for outcome in outcomes if outcome.result is not None
-        )
-        report = None
-        if windows is not None:
-            report = merge_window_summaries(
-                (summary.window_report for summary in summaries),
-                config=WindowConfig.of(windows),
-            )
-        return DatacenterResult(
-            placement_name=placement.name,
-            scheduler_name=(
-                summaries[0].scheduler_name if summaries else "n/a"
-            ),
-            node_results=results,
-            assignment=assignment,
-            node_indices=node_indices,
-            node_summaries=summaries,
-            window_report=report,
-        )
-
-    def compare_placements(
-        self,
-        members: Sequence[Member],
-        placements: Sequence[Placement],
-        scheduler_factory: Callable[[], Scheduler],
-        duration_s: float = 120.0,
-        warmup_s: float = 60.0,
-        seed: int = 2023,
-        *,
-        jobs: Optional[int] = None,
-    ) -> Dict[str, DatacenterResult]:
-        """Run several placements on the same application set."""
-        return {
-            placement.name: self.run(
-                members,
-                placement,
-                scheduler_factory,
-                duration_s,
-                warmup_s,
-                seed,
-                jobs=jobs,
-            )
-            for placement in placements
-        }
+        return run_shards(items, jobs=jobs, retries=retries, on_error=on_error)
 
     def run_epochs(
         self,
@@ -672,13 +395,10 @@ class Datacenter:
         *,
         epochs: int,
         epoch_duration_s: float = 30.0,
-        warmup_s: Optional[float] = None,
         seed: int = 2023,
         jobs: Optional[int] = None,
         migration: Optional[MigrationPolicy] = None,
         arrivals: Optional[Mapping[int, Sequence[Member]]] = None,
-        faults: Optional[FaultPlan] = None,
-        checks: Optional[Union[CheckConfig, str]] = None,
         windows: Optional[Union[WindowConfig, int, float]] = None,
         retries: int = 0,
         chaos: Optional[ClusterFaultPlan] = None,
@@ -704,8 +424,9 @@ class Datacenter:
         admitted at the start of epoch ``e`` onto the lowest-scoring node
         (fewest-members node before any scores exist), and ``migration``
         proposes bounded, hysteretic BE moves that reshape the next
-        epoch's assignment. ``warmup_s`` (default 20% of the epoch)
-        trims each node run's convergence transient.
+        epoch's assignment. The first 20% of each node run is warm-up,
+        trimming its convergence transient. ``windows`` arms each node's
+        bounded window report (:attr:`NodeEpochSummary.window_report`).
 
         **Degraded mode** arms when ``chaos`` (a
         :class:`~repro.datacenter.chaos.ClusterFaultPlan`) or
@@ -752,9 +473,7 @@ class Datacenter:
                     f"cluster fault plan names node(s) {outside} outside "
                     f"this {len(self.specs)}-node cluster"
                 )
-        epoch_warmup_s = (
-            0.2 * epoch_duration_s if warmup_s is None else warmup_s
-        )
+        epoch_warmup_s = 0.2 * epoch_duration_s
         guard = quarantine
         if guard is None and chaos is not None:
             guard = Quarantine()
@@ -877,18 +596,14 @@ class Datacenter:
             run_assignment = assignment
             if down or missed:
                 run_assignment = assignment.cleared(sorted(down | missed))
-            _, outcomes = self._run_assignment(
+            outcomes = self._run_assignment(
                 run_assignment,
                 scheduler_factory,
                 epoch_duration_s,
                 epoch_warmup_s,
                 seed + epoch * EPOCH_SEED_STRIDE,
                 jobs=jobs,
-                tracer=None,
-                faults=faults,
-                checks=checks,
                 windows=windows,
-                keep_records=False,
                 offset_s=epoch * epoch_duration_s,
                 retries=retries,
                 on_error="salvage" if guard is not None else "raise",
@@ -942,7 +657,7 @@ class Datacenter:
                 dropped: List[int] = []
                 kept: List[NodeEpochSummary] = []
                 for node in sorted(completed):
-                    summary = completed[node].summary
+                    summary = completed[node]
                     if chaos is not None:
                         corruption = chaos.corruption_for(node, epoch)
                         if corruption is not None:
@@ -968,7 +683,7 @@ class Datacenter:
                     if held is not None:
                         scores[node] = held
             else:
-                summaries = tuple(outcome.summary for outcome in outcomes)
+                summaries = tuple(outcomes)
                 scores = {
                     summary.node_index: summary.mean_e_s
                     for summary in summaries

@@ -142,24 +142,6 @@ class MigrationPolicy(abc.ABC):
         """Restore state previously captured with :meth:`state_dict`."""
 
 
-class StaticPolicy(MigrationPolicy):
-    """The do-nothing baseline: placements never change."""
-
-    name = "static"
-
-    def propose(
-        self,
-        scores: Mapping[int, float],
-        assignment: Assignment,
-        specs: Sequence[NodeSpec],
-        *,
-        now_s: float = 0.0,
-        horizon_s: float = 0.0,
-    ) -> List[Move]:
-        """Never proposes a move."""
-        return []
-
-
 @dataclass
 class EntropyGuidedMigration(MigrationPolicy):
     """Move BE hogs from high-``E_S`` nodes toward upcoming headroom.

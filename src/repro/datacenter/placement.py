@@ -1,17 +1,13 @@
 """Application-to-node placement strategies.
 
 A placement maps a mixed bag of LC and BE applications onto a set of
-nodes. Three strategies, in increasing awareness:
-
-* :class:`RoundRobinPlacement` — deal applications out in order;
-* :class:`BinPackingPlacement` — greedy worst-fit on a pressure score
-  combining reserved cores and memory-bandwidth appetite (the classic
-  resource-vector heuristic);
-* :class:`EntropyAwarePlacement` — place each application on the node
-  whose *probed* ``E_S`` after the addition is lowest, measured by a
-  short simulation under the target scheduling strategy. This is the
-  paper's metric applied one level up: the same single figure of merit
-  that ranks strategies also ranks placements.
+nodes. :class:`Placement` is the interface; :class:`BinPackingPlacement`
+is the strategy: greedy worst-fit on a pressure score combining reserved
+cores and memory-bandwidth appetite (the classic resource-vector
+heuristic). ``E_S`` enters one level up, after placement: the global
+epoch loop (:meth:`~repro.datacenter.cluster.Datacenter.run_epochs`)
+admits arrivals onto, and migrates BE hogs away from, nodes ranked by
+their measured ``E_S``.
 
 Pressure scoring is **horizon-aware**: an LC application's core
 reservation is evaluated at its *peak* load over ``horizon_s`` seconds of
@@ -19,7 +15,7 @@ its load trace, not at ``t=0`` — a diurnal or ramping workload that idles
 at the start of the run would otherwise be scored as nearly free and
 packed onto an already-busy node.
 
-All placements are deterministic: the heaviest-first ordering is a stable
+Bin packing is deterministic: the heaviest-first ordering is a stable
 sort (equal-pressure members keep their input order) and node selection
 breaks pressure ties by the lowest node index.
 
@@ -37,12 +33,10 @@ from __future__ import annotations
 import abc
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Sequence, Tuple, Union
+from typing import Dict, List, Sequence, Tuple, Union
 
 from repro.cluster.collocation import BEMember, Collocation, LCMember
-from repro.cluster.run import run_collocation
 from repro.errors import ConfigurationError
-from repro.schedulers.base import Scheduler
 from repro.server.spec import NodeSpec
 from repro.workloads.loadgen import LoadTrace
 
@@ -216,21 +210,6 @@ class Assignment:
             )
         return pairs
 
-    def collocations(
-        self, specs: Sequence[NodeSpec], seed: int = 2023
-    ) -> List[Collocation]:
-        """Materialise per-node collocations (empty nodes are skipped).
-
-        .. warning:: The returned list positions do **not** line up with
-           node indices once any node is empty — use
-           :meth:`indexed_collocations` when results must be traced back
-           to nodes.
-        """
-        return [
-            collocation
-            for _, collocation in self.indexed_collocations(specs, seed=seed)
-        ]
-
     def node_of(self, name: str) -> int:
         """Index of the node hosting application ``name``."""
         for index, members in enumerate(self.per_node):
@@ -327,22 +306,6 @@ class Placement(abc.ABC):
             raise ConfigurationError(f"duplicate application names: {sorted(names)}")
 
 
-class RoundRobinPlacement(Placement):
-    """Deal applications onto nodes in order."""
-
-    name = "round-robin"
-
-    def assign(
-        self, members: Sequence[Member], specs: Sequence[NodeSpec]
-    ) -> Assignment:
-        """Deal members across nodes in input order."""
-        self._validate(members, specs)
-        buckets: List[List[Member]] = [[] for _ in specs]
-        for index, member in enumerate(members):
-            buckets[index % len(specs)].append(member)
-        return Assignment(per_node=tuple(tuple(b) for b in buckets))
-
-
 @dataclass(frozen=True)
 class BinPackingPlacement(Placement):
     """Greedy worst-fit on the pressure score (heaviest first).
@@ -375,60 +338,3 @@ class BinPackingPlacement(Placement):
             trees[kind_of[target]].set(slot, load)
             buckets[target].append(members[i])
         return Assignment(per_node=tuple(tuple(b) for b in buckets))
-
-
-@dataclass
-class EntropyAwarePlacement(Placement):
-    """Greedy placement probed by short entropy measurements.
-
-    For each application (heaviest first), simulate each candidate node's
-    tentative collocation for ``probe_duration_s`` under the target
-    strategy and place the application where the probed ``E_S`` is
-    lowest. Probes are short — the signal needed is a ranking, not a
-    converged measurement.
-    """
-
-    scheduler_factory: Callable[[], Scheduler] = None
-    probe_duration_s: float = 15.0
-    seed: int = 2023
-    horizon_s: float = DEFAULT_PRESSURE_HORIZON_S
-    name: str = field(default="entropy-aware")
-
-    def __post_init__(self) -> None:
-        if self.scheduler_factory is None:
-            raise ConfigurationError(
-                "EntropyAwarePlacement needs a scheduler factory"
-            )
-        if self.probe_duration_s <= 0:
-            raise ConfigurationError("probe duration must be positive")
-
-    def assign(
-        self, members: Sequence[Member], specs: Sequence[NodeSpec]
-    ) -> Assignment:
-        """Place each member where its probed ``E_S`` lands lowest."""
-        self._validate(members, specs)
-        buckets: List[List[Member]] = [[] for _ in specs]
-        kinds, _ = _spec_kinds(specs)
-        table = _pressure_table(members, kinds, self.horizon_s)
-        for member in (members[i] for i in _heaviest_first(table)):
-            target = min(
-                range(len(specs)),
-                key=lambda i: self._probe(buckets[i] + [member], specs[i]),
-            )
-            buckets[target].append(member)
-        return Assignment(per_node=tuple(tuple(b) for b in buckets))
-
-    def _probe(self, members: List[Member], spec: NodeSpec) -> float:
-        collocation = Collocation(
-            lc=tuple(m for m in members if _is_lc(m)),
-            be=tuple(m for m in members if not _is_lc(m)),
-            spec=spec,
-            seed=self.seed,
-        )
-        result = run_collocation(
-            collocation,
-            self.scheduler_factory(),
-            duration_s=self.probe_duration_s,
-            warmup_s=self.probe_duration_s / 3,
-        )
-        return result.mean_e_s()

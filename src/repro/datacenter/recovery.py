@@ -146,11 +146,6 @@ class Quarantine:
             return None
         return summary.mean_e_s
 
-    def held_summary(self, node: int) -> Optional[NodeEpochSummary]:
-        """The node's last good summary regardless of age (``None`` if none)."""
-        entry = self._held.get(node)
-        return entry[0] if entry is not None else None
-
     # -- transitions -------------------------------------------------------
 
     def report_failure(self, node: int) -> int:

@@ -1,6 +1,6 @@
 """Sharded node execution: fan a datacenter's nodes over worker processes.
 
-One datacenter run is hundreds-to-thousands of *independent* node
+One global epoch is hundreds-to-thousands of *independent* node
 simulations — exactly the shape :mod:`repro.parallel` was built for. This
 module turns per-node work into :class:`NodeRun` items, executes them on
 the warm chunked pool via
@@ -8,12 +8,9 @@ the warm chunked pool via
 :class:`NodeEpochSummary` values: compact, exact per-node aggregates
 (per-application mean observations, mean entropies, violation counts, an
 optional bounded :class:`~repro.obs.windows.WindowSummary`) instead of
-raw epoch streams. Full :class:`~repro.cluster.run.RunResult` objects can
-ride along when requested — they cross the process boundary on the
-``epoch-records/v1`` columnar wire (:mod:`repro.cluster.epoch`), so even
-the keep-everything mode stays off the dispatch critical path.
+raw epoch streams.
 
-Determinism: a node's outcome is a pure function of its collocation
+Determinism: a node's summary is a pure function of its collocation
 (seeded ``seed + node_index``) and scheduler factory, summaries are
 computed inside the worker with plain left-to-right arithmetic, and
 results are re-assembled in node-index order — so a sharded run is
@@ -35,13 +32,10 @@ from typing import (
     Union,
 )
 
-from repro.check.invariants import CheckConfig
 from repro.cluster.collocation import Collocation
 from repro.cluster.run import RunResult, run_collocation
 from repro.entropy.records import BEObservation, LCObservation
 from repro.errors import ConfigurationError, MeasurementError
-from repro.faults.plan import FaultPlan
-from repro.obs.events import CollectingTracer, TraceEvent
 from repro.obs.windows import WindowConfig, WindowSummary
 from repro.parallel.runner import (
     ParallelRunError,
@@ -58,7 +52,7 @@ class NodeEpochSummary:
 
     This is what worker processes exchange with the coordinator instead
     of raw epoch records: per-application mean observations (the same
-    quantities :meth:`~repro.datacenter.cluster.DatacenterResult.pooled_observation`
+    quantities :meth:`~repro.datacenter.cluster.DatacenterTimeline.pooled_observation`
     pools), mean entropies, QoS counts and an optional bounded window
     report. Everything is computed worker-side with plain left-to-right
     arithmetic over the measured records, so a summary is bit-identical
@@ -66,8 +60,8 @@ class NodeEpochSummary:
 
     ``measured_epochs == 0`` marks a node whose run produced no
     post-warm-up epochs (its means are ``None`` and its observation
-    tuples empty); downstream pooling decides whether that is an error
-    or a skip (see ``DatacenterResult.pooled_observation``).
+    tuples empty); timeline pooling skips it with a warning (see
+    ``DatacenterTimeline.pooled_observation``).
     """
 
     node_index: int
@@ -87,17 +81,6 @@ class NodeEpochSummary:
     window_report: Optional[WindowSummary] = field(
         default=None, repr=False, compare=False
     )
-
-    @property
-    def interference_score(self) -> Optional[float]:
-        """The node's interference score: its measured mean ``E_S``.
-
-        The paper's single figure of merit, used one level up — the
-        global placement/migration layer ranks nodes by it exactly as
-        the Alibaba scoring mechanism ranks hosts by interference
-        intensity. ``None`` when the node measured no epochs.
-        """
-        return self.mean_e_s
 
     def yield_fraction(self) -> float:
         """Ratio of this node's LC applications meeting their QoS."""
@@ -242,10 +225,8 @@ class NodeRun:
 
     ``scheduler_factory`` must be picklable for the pooled path (the
     strategy classes themselves — ``ARQScheduler``, ... — are; lambdas
-    are not, but still work on the ``jobs=1`` serial path).
-    ``keep_records=False`` ships only the :class:`NodeEpochSummary` back
-    from the worker — the compact-exchange mode the global epoch loop
-    runs in; ``True`` also returns the full result on the columnar wire.
+    are not, but still work on the ``jobs=1`` serial path). Only the
+    node's :class:`NodeEpochSummary` comes back from the worker.
     """
 
     node_index: int
@@ -253,11 +234,7 @@ class NodeRun:
     scheduler_factory: Callable[[], Scheduler]
     duration_s: float
     warmup_s: float
-    faults: Optional[FaultPlan] = None
-    checks: Optional[CheckConfig] = None
     windows: Optional[WindowConfig] = None
-    keep_records: bool = True
-    collect_trace: bool = False
 
     def describe(self) -> str:
         """Human-readable parameter summary (used in error messages)."""
@@ -270,34 +247,16 @@ class NodeRun:
         )
 
 
-@dataclass(frozen=True)
-class NodeOutcome:
-    """What one sharded node run ships back to the coordinator."""
-
-    summary: NodeEpochSummary
-    result: Optional[RunResult] = None
-    events: Tuple[TraceEvent, ...] = ()
-
-
-def _run_node(item: NodeRun) -> NodeOutcome:
+def _run_node(item: NodeRun) -> NodeEpochSummary:
     """Worker entry point (module-level so it pickles for the pool)."""
-    collector = CollectingTracer() if item.collect_trace else None
     result = run_collocation(
         item.collocation,
         item.scheduler_factory(),
         item.duration_s,
         item.warmup_s,
-        tracer=collector,
-        faults=item.faults,
-        checks=item.checks,
         windows=item.windows,
     )
-    summary = summarize_node(item.node_index, result)
-    return NodeOutcome(
-        summary=summary,
-        result=result if item.keep_records else None,
-        events=tuple(collector.events) if collector is not None else (),
-    )
+    return summarize_node(item.node_index, result)
 
 
 #: Failure policies :func:`run_shards` accepts.
@@ -306,7 +265,7 @@ ON_ERROR_MODES = ("raise", "salvage")
 
 @dataclass(frozen=True)
 class ShardReport:
-    """Partial node outcomes plus a structured per-node failure report.
+    """Partial node summaries plus a structured per-node failure report.
 
     Returned by :func:`run_shards` in ``on_error="salvage"`` mode.
     ``outcomes`` aligns with submission order (``None`` where the node's
@@ -318,11 +277,11 @@ class ShardReport:
     """
 
     items: Tuple[NodeRun, ...]
-    outcomes: Tuple[Optional[NodeOutcome], ...]
+    outcomes: Tuple[Optional[NodeEpochSummary], ...]
     failures: Tuple[PointFailure, ...] = ()
 
-    def completed(self) -> Dict[int, NodeOutcome]:
-        """Map node index → outcome for every node that succeeded."""
+    def completed(self) -> Dict[int, NodeEpochSummary]:
+        """Map node index → summary for every node that succeeded."""
         return {
             item.node_index: outcome
             for item, outcome in zip(self.items, self.outcomes)
@@ -342,8 +301,8 @@ def run_shards(
     *,
     retries: int = 0,
     on_error: str = "raise",
-) -> Union[List[NodeOutcome], ShardReport]:
-    """Execute every node run, returning outcomes in submission order.
+) -> Union[List[NodeEpochSummary], ShardReport]:
+    """Execute every node run, returning summaries in submission order.
 
     ``jobs=1`` runs serially in-process through the *same* worker
     function the pool uses, so the two paths are byte-identical.
@@ -353,10 +312,10 @@ def run_shards(
     ``on_error="raise"`` (default) raises
     :class:`~repro.parallel.runner.ParallelRunError` at the first
     exhausted failure, carrying the failing node's parameters and every
-    outcome completed before it, and returns a plain outcome list when
+    summary completed before it, and returns a plain summary list when
     everything succeeds. ``on_error="salvage"`` never raises for node
     failures: every item runs to completion and a :class:`ShardReport`
-    ships the partial outcomes plus a structured per-node failure
+    ships the partial summaries plus a structured per-node failure
     report — the mode the degraded-mode epoch loop runs in.
     """
     if on_error not in ON_ERROR_MODES:

@@ -28,7 +28,7 @@ resilience experiment sweeps.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import ClassVar, Dict, List, Tuple
+from typing import ClassVar, Dict, Iterable, List, Tuple
 
 from repro.errors import FaultError, TelemetryCorruptionError
 from repro.tagged import Plan, Tagged
@@ -242,6 +242,21 @@ class FaultPlan(Plan):
         return [fault for fault in self.faults if fault.active_at(time_s)]
 
 
+def check_targets(
+    plan: FaultPlan, names: Iterable[str], label: str = "fault plan"
+) -> None:
+    """Raise :class:`~repro.errors.FaultError` when ``plan`` targets an
+    application outside ``names`` (the run's mix); ``label`` names the
+    plan in the message."""
+    mix = set(names)
+    unknown = sorted({t for fault in plan for t in fault.targets()} - mix)
+    if unknown:
+        raise FaultError(
+            f"{label} targets application(s) {', '.join(unknown)} "
+            f"not in the mix ({', '.join(sorted(mix))})"
+        )
+
+
 def _preset_telemetry_dropout(intensity: float) -> Tuple[FaultSpec, ...]:
     """Repeated full-telemetry blackouts plus a NaN-corruption window."""
     blackout = 3.0 * intensity
@@ -339,7 +354,10 @@ def fault_preset(name: str, intensity: float = 1.0) -> FaultPlan:
     written for the canonical mix, so a fault whose target application
     is absent from the run's mix injects nothing (the ``load-spike``
     faults on ``xapian``, for instance, are skipped in a mix without
-    it); a user plan's targets are checked by the CLI instead.
+    it). ``run_collocation`` and ``run_strategy`` skip absent targets
+    for that reason (``--fault-preset`` and fig14 rely on it); a user
+    plan passed to ``repro.run``/``repro.compare`` or ``--faults`` is
+    checked with :func:`check_targets` instead.
     """
     if name not in FAULT_PRESETS:
         raise FaultError(

@@ -5,12 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.cluster.collocation import BEMember, LCMember
-from repro.datacenter import (
-    BinPackingPlacement,
-    Datacenter,
-    EntropyAwarePlacement,
-    RoundRobinPlacement,
-)
+from repro.datacenter import BinPackingPlacement, Datacenter
 from repro.errors import ConfigurationError
 from repro.schedulers import ARQScheduler, UnmanagedScheduler
 from repro.server.spec import PAPER_NODE
@@ -32,12 +27,6 @@ def assert_complete(assignment, members):
 
 
 class TestPlacements:
-    def test_round_robin_distributes(self):
-        assignment = RoundRobinPlacement().assign(MEMBERS, SPECS)
-        assert_complete(assignment, MEMBERS)
-        sizes = [len(bucket) for bucket in assignment.per_node]
-        assert max(sizes) - min(sizes) <= 1
-
     def test_bin_packing_balances_pressure(self):
         assignment = BinPackingPlacement().assign(MEMBERS, SPECS)
         assert_complete(assignment, MEMBERS)
@@ -46,40 +35,14 @@ class TestPlacements:
         # minimum: no node is left empty.
         assert all(len(bucket) > 0 for bucket in assignment.per_node)
 
-    def test_entropy_aware_places_everyone(self):
-        placement = EntropyAwarePlacement(
-            scheduler_factory=ARQScheduler, probe_duration_s=6.0
-        )
-        assignment = placement.assign(MEMBERS, SPECS)
-        assert_complete(assignment, MEMBERS)
-
-    def test_entropy_aware_separates_the_hogs(self):
-        # Two bandwidth hogs and two LC apps on two nodes: the probed
-        # placement should not put both hogs with both LC apps on one node.
-        members = [
-            LCMember.of("xapian", 0.5),
-            LCMember.of("masstree", 0.5),
-            BEMember.of("stream"),
-            BEMember.of("streamcluster"),
-        ]
-        placement = EntropyAwarePlacement(
-            scheduler_factory=ARQScheduler, probe_duration_s=6.0
-        )
-        assignment = placement.assign(members, SPECS)
-        lc_nodes = {assignment.node_of("xapian"), assignment.node_of("masstree")}
-        hog_nodes = {assignment.node_of("stream"), assignment.node_of("streamcluster")}
-        assert len(lc_nodes | hog_nodes) == 2  # both nodes used
-
     def test_validation(self):
         with pytest.raises(ConfigurationError):
-            RoundRobinPlacement().assign([], SPECS)
+            BinPackingPlacement().assign([], SPECS)
         with pytest.raises(ConfigurationError):
-            RoundRobinPlacement().assign(MEMBERS, [])
-        with pytest.raises(ConfigurationError):
-            EntropyAwarePlacement(scheduler_factory=None)
+            BinPackingPlacement().assign(MEMBERS, [])
 
     def test_node_of_unplaced_raises(self):
-        assignment = RoundRobinPlacement().assign(MEMBERS, SPECS)
+        assignment = BinPackingPlacement().assign(MEMBERS, SPECS)
         with pytest.raises(ConfigurationError):
             assignment.node_of("ghost")
 
@@ -87,30 +50,21 @@ class TestPlacements:
 class TestDatacenter:
     def test_run_produces_pooled_summary(self):
         datacenter = Datacenter(specs=SPECS)
-        result = datacenter.run(
+        timeline = datacenter.run_epochs(
             MEMBERS,
-            RoundRobinPlacement(),
+            BinPackingPlacement(),
             UnmanagedScheduler,
-            duration_s=20.0,
-            warmup_s=10.0,
+            epochs=2,
+            epoch_duration_s=10.0,
         )
-        summary = result.breakdown()
+        summary = timeline.breakdown()
         assert 0.0 <= summary.e_s <= 1.0
-        observation = result.pooled_observation()
-        assert len(observation.lc) == 4
-        assert len(observation.be) == 2
-        assert len(result.per_node_entropy()) == len(result.node_results)
-
-    def test_compare_placements_keys(self):
-        datacenter = Datacenter(specs=SPECS)
-        results = datacenter.compare_placements(
-            MEMBERS,
-            [RoundRobinPlacement(), BinPackingPlacement()],
-            UnmanagedScheduler,
-            duration_s=12.0,
-            warmup_s=6.0,
-        )
-        assert set(results) == {"round-robin", "bin-packing"}
+        # Two epochs, each pooling every application once.
+        observation = timeline.pooled_observation()
+        assert len(observation.lc) == 2 * 4
+        assert len(observation.be) == 2 * 2
+        for epoch in timeline.epochs:
+            assert set(epoch.scores) == {0, 1}
 
     def test_needs_nodes(self):
         with pytest.raises(ConfigurationError):
@@ -118,24 +72,23 @@ class TestDatacenter:
 
     def test_pooled_entropy_dimensionless_and_yield_weighted(self):
         datacenter = Datacenter(specs=SPECS)
-        result = datacenter.run(
+        timeline = datacenter.run_epochs(
             MEMBERS,
             BinPackingPlacement(),
             ARQScheduler,
-            duration_s=20.0,
-            warmup_s=10.0,
+            epochs=1,
+            epoch_duration_s=20.0,
         )
-        summary = result.breakdown()
+        summary = timeline.breakdown()
         for value in (summary.e_lc, summary.e_be, summary.e_s):
             assert 0.0 <= value <= 1.0
         # The pooled yield equals the LC-count-weighted mean of the nodes'.
         total_lc = 0
-        satisfied = 0.0
-        for node_result in result.node_results:
-            n = len(node_result.collocation.lc_profiles)
-            total_lc += n
-            satisfied += node_result.yield_fraction() * n
-        if total_lc:
-            assert result.yield_fraction() == pytest.approx(
-                satisfied / total_lc
-            )
+        satisfied = 0
+        for node in timeline.epochs[0].node_summaries:
+            total_lc += len(node.lc)
+            satisfied += sum(obs.measured_ms <= obs.threshold_ms for obs in node.lc)
+        assert total_lc == 4
+        assert timeline.pooled_observation().yield_fraction() == pytest.approx(
+            satisfied / total_lc
+        )

@@ -346,7 +346,6 @@ def _node_items(factories):
             scheduler_factory=factory,
             duration_s=8.0,
             warmup_s=2.0,
-            keep_records=False,
         )
         for index, factory in enumerate(factories)
     ]
@@ -382,7 +381,7 @@ class TestRunShardsFailurePolicy:
     def test_transient_failure_succeeds_on_retry(self):
         items = _node_items([_Flaky()])
         outcomes = run_shards(items, jobs=1, retries=1)
-        assert len(outcomes) == 1 and outcomes[0].summary.node_index == 0
+        assert len(outcomes) == 1 and outcomes[0].node_index == 0
 
     def test_without_retries_the_transient_failure_is_fatal(self):
         items = _node_items([_Flaky()])
@@ -393,27 +392,29 @@ class TestRunShardsFailurePolicy:
 class TestRetriesThreadedThroughDatacenter:
     def test_datacenter_run_retries_a_transient_node(self):
         datacenter = Datacenter(specs=(PAPER_NODE,))
-        result = datacenter.run(
+        flaky = _Flaky()
+        timeline = datacenter.run_epochs(
             MEMBERS[:2],
             BinPackingPlacement(),
-            _Flaky(),
-            duration_s=8.0,
-            warmup_s=2.0,
+            flaky,
+            epochs=1,
+            epoch_duration_s=8.0,
             seed=5,
             jobs=1,
             retries=1,
         )
-        assert result.node_summaries
+        assert flaky.calls == 2
+        assert [s.node_index for s in timeline.epochs[0].node_summaries] == [0]
 
     def test_datacenter_run_without_retries_fails(self):
         datacenter = Datacenter(specs=(PAPER_NODE,))
         with pytest.raises(ParallelRunError, match="transient"):
-            datacenter.run(
+            datacenter.run_epochs(
                 MEMBERS[:2],
                 BinPackingPlacement(),
                 _Flaky(),
-                duration_s=8.0,
-                warmup_s=2.0,
+                epochs=1,
+                epoch_duration_s=8.0,
                 seed=5,
                 jobs=1,
             )

@@ -19,11 +19,11 @@ from repro.datacenter import (
     Assignment,
     BinPackingPlacement,
     Datacenter,
-    DatacenterResult,
+    DatacenterTimeline,
     EntropyGuidedMigration,
+    GlobalEpoch,
     NodeEpochSummary,
     Placement,
-    StaticPolicy,
     migration_policy,
     node_pressure,
     peak_load,
@@ -82,43 +82,40 @@ def summary_stub(node: int, measured: int = 0) -> NodeEpochSummary:
 class TestEmptyNodeAlignment:
     """Bugfix: results must line up with node indices, not list positions."""
 
-    def test_results_align_past_an_empty_node(self):
-        per_node = (
-            (lc("xapian", 0.5), BEMember.of("fluidanimate")),
-            (),  # node 1 runs nothing
-            (lc("moses", 0.2),),
-        )
+    PER_NODE = (
+        (lc("xapian", 0.5), BEMember.of("fluidanimate")),
+        (),  # node 1 runs nothing
+        (lc("moses", 0.2),),
+    )
+
+    def run_fixed(self, seed: int = 2023) -> DatacenterTimeline:
         datacenter = Datacenter(specs=(PAPER_NODE,) * 3)
-        result = datacenter.run(
-            [m for bucket in per_node for m in bucket],
-            FixedPlacement(per_node),
+        return datacenter.run_epochs(
+            [m for bucket in self.PER_NODE for m in bucket],
+            FixedPlacement(self.PER_NODE),
             UnmanagedScheduler,
-            duration_s=12.0,
-            warmup_s=4.0,
-            seed=2023,
+            epochs=1,
+            epoch_duration_s=10.0,
+            seed=seed,
         )
-        assert result.node_indices == (0, 2)
-        # node 2's run really is node 2's: the moses node, seeded 2023+2.
-        assert "moses" in result.result_for(2).collocation.lc_profiles
-        assert result.summary_for(2).seed == 2023 + 2
-        assert result.node_result_of("moses") is result.result_for(2)
-        assert result.interference_scores().keys() == {0, 2}
-        assert len(result.per_node_entropy()) == len(result.node_results)
+
+    def test_results_align_past_an_empty_node(self):
+        (epoch,) = self.run_fixed().epochs
+        assert [s.node_index for s in epoch.node_summaries] == [0, 2]
+        # node 2's summary really is node 2's: the moses node, seeded 2023+2.
+        node2 = epoch.node_summaries[1]
+        assert [obs.name for obs in node2.lc] == ["moses"]
+        assert node2.seed == 2023 + 2
+        assert epoch.assignment.node_of("moses") == 2
 
     def test_empty_node_lookups_raise(self):
-        per_node = ((lc("xapian", 0.5),), ())
-        datacenter = Datacenter(specs=(PAPER_NODE,) * 2)
-        result = datacenter.run(
-            [lc("xapian", 0.5)],
-            FixedPlacement(per_node),
-            UnmanagedScheduler,
-            duration_s=10.0,
-            warmup_s=4.0,
-        )
-        with pytest.raises(ConfigurationError, match="node 1"):
-            result.result_for(1)
-        with pytest.raises(ConfigurationError, match="node 1"):
-            result.summary_for(1)
+        (epoch,) = self.run_fixed().epochs
+        # The empty node has no summary and no score; looking up an
+        # application that no node hosts raises.
+        assert 1 not in {s.node_index for s in epoch.node_summaries}
+        assert set(epoch.scores) == {0, 2}
+        with pytest.raises(ConfigurationError, match="ghost"):
+            epoch.assignment.node_of("ghost")
 
     @pytest.mark.parametrize("base", [0, 7, 2023])
     def test_node_seeds_stay_distinct_past_empty_nodes(self, base):
@@ -127,60 +124,61 @@ class TestEmptyNodeAlignment:
         )
         indexed = assignment.indexed_collocations((PAPER_NODE,) * 3, seed=base)
         assert [(i, c.seed) for i, c in indexed] == [(0, base), (2, base + 2)]
+        # The epoch loop seeds every node run ``seed + node_index`` too.
+        (epoch,) = self.run_fixed(seed=base).epochs
+        assert [(s.node_index, s.seed) for s in epoch.node_summaries] == [
+            (0, base),
+            (2, base + 2),
+        ]
 
 
 class TestEmptyWindowPooling:
-    """Bugfix: pooling over nodes with no measured epochs is a policy."""
+    """Bugfix: pooling skips nodes with no measured epochs, and says so."""
 
-    def result_with(self, *summaries) -> DatacenterResult:
-        return DatacenterResult(
+    def timeline_with(self, *summaries) -> DatacenterTimeline:
+        assignment = Assignment(per_node=((),) * len(summaries))
+        return DatacenterTimeline(
             placement_name="fixed",
             scheduler_name="arq",
-            node_results=(),
-            assignment=Assignment(per_node=((),) * len(summaries)),
-            node_indices=tuple(s.node_index for s in summaries),
-            node_summaries=tuple(summaries),
+            migration_name="static",
+            epoch_duration_s=10.0,
+            epochs=(
+                GlobalEpoch(
+                    epoch=0,
+                    start_s=0.0,
+                    assignment=assignment,
+                    node_summaries=tuple(summaries),
+                    scores={},
+                ),
+            ),
+            final_assignment=assignment,
         )
 
-    def test_raise_mode_names_the_empty_nodes(self):
-        result = self.result_with(summary_stub(0, measured=8), summary_stub(1))
-        with pytest.raises(ConfigurationError, match=r"node\(s\) \[1\]"):
-            result.pooled_observation()
-        with pytest.raises(ConfigurationError, match="on_empty='skip'"):
-            result.breakdown()
-
     def test_skip_mode_pools_the_populated_nodes_and_warns(self):
-        result = self.result_with(summary_stub(0, measured=8), summary_stub(1))
+        timeline = self.timeline_with(summary_stub(0, measured=8), summary_stub(1))
         with pytest.warns(UserWarning, match=r"skipping node\(s\) \[1\]"):
-            observation = result.pooled_observation(on_empty="skip")
+            observation = timeline.pooled_observation()
         assert [obs.name for obs in observation.lc] == ["xapian"]
         assert [obs.name for obs in observation.be] == ["stream"]
+        with pytest.warns(UserWarning, match=r"skipping node\(s\) \[1\]"):
+            assert 0.0 <= timeline.breakdown().e_s <= 1.0
 
     def test_all_empty_raises_even_when_skipping(self):
-        result = self.result_with(summary_stub(0), summary_stub(1))
+        timeline = self.timeline_with(summary_stub(0), summary_stub(1))
         with pytest.raises(ConfigurationError, match="no node measured"):
-            result.pooled_observation(on_empty="skip")
-
-    def test_unknown_mode_rejected(self):
-        result = self.result_with(summary_stub(0, measured=8))
-        with pytest.raises(ConfigurationError, match="on_empty"):
-            result.pooled_observation(on_empty="explode")
+            timeline.pooled_observation()
 
     def test_validation_rejects_empty_measurement_windows_up_front(self):
         datacenter = Datacenter(specs=(PAPER_NODE,))
         members = [lc("xapian", 0.5)]
         placement = FixedPlacement((tuple(members),))
-        with pytest.raises(ConfigurationError, match="must exceed"):
-            datacenter.run(
-                members, placement, UnmanagedScheduler,
-                duration_s=10.0, warmup_s=10.0,
-            )
-        # Epoch granularity: one 0.5s epoch starting before a 0.4s warm-up
-        # boundary leaves nothing measured — caught up front, clearly.
+        # Epoch granularity: a 0.4s global epoch is one 0.5s node epoch
+        # starting before the 0.08s warm-up boundary, so nothing would be
+        # measured — caught up front, clearly.
         with pytest.raises(ConfigurationError, match="warm-up boundary"):
-            datacenter.run(
+            datacenter.run_epochs(
                 members, placement, UnmanagedScheduler,
-                duration_s=0.5, warmup_s=0.4,
+                epochs=1, epoch_duration_s=0.4,
             )
 
 
@@ -252,23 +250,6 @@ class TestShardedByteIdentity:
     def canonical(payload) -> str:
         return json.dumps(payload, sort_keys=True)
 
-    def test_run_identical_serial_vs_pooled(self):
-        datacenter = Datacenter(specs=(PAPER_NODE,) * 3)
-        results = [
-            datacenter.run(
-                self.MEMBERS,
-                BinPackingPlacement(),
-                ARQScheduler,
-                duration_s=10.0,
-                warmup_s=4.0,
-                jobs=jobs,
-            )
-            for jobs in (1, 3)
-        ]
-        assert self.canonical(results[0].to_dict()) == self.canonical(
-            results[1].to_dict()
-        )
-
     def test_run_epochs_identical_serial_vs_pooled_and_seeded(self):
         datacenter = Datacenter(specs=(PAPER_NODE,) * 2)
         timelines = [
@@ -329,6 +310,26 @@ class TestEpochLoop:
                 epochs=1,
                 epoch_duration_s=0.0,
             )
+
+    def test_windows_attach_a_report_to_every_node_summary(self):
+        datacenter = Datacenter(specs=(PAPER_NODE,) * 2)
+        members = [lc("xapian", 0.5), lc("moses", 0.2), BEMember.of("fluidanimate")]
+        timelines = [
+            datacenter.run_epochs(
+                members,
+                BinPackingPlacement(),
+                ARQScheduler,
+                epochs=1,
+                epoch_duration_s=6.0,
+                windows=windows,
+            )
+            for windows in (None, 1.0)
+        ]
+        plain, windowed = (t.epochs[0].node_summaries for t in timelines)
+        assert all(s.window_report is None for s in plain)
+        assert all(s.window_report is not None for s in windowed)
+        # Window reports ride along; they change no scoring field.
+        assert timelines[0].to_dict() == timelines[1].to_dict()
 
 
 class TestMigrationPolicy:
@@ -446,8 +447,20 @@ class TestMigrationPolicy:
         assert moves == []
 
     def test_static_policy_never_moves(self):
-        assignment, specs, scores = self.three_nodes()
-        assert StaticPolicy().propose(scores, assignment, specs) == []
+        # ``migration_policy("none")`` is the static plane: no policy, so
+        # the epoch loop never moves anyone.
+        assert migration_policy("none", budget=3, hysteresis=0.0) is None
+        datacenter = Datacenter(specs=(PAPER_NODE,) * 2)
+        timeline = datacenter.run_epochs(
+            [lc("xapian", 0.5), BEMember.of("stream"), BEMember.of("fluidanimate")],
+            BinPackingPlacement(),
+            UnmanagedScheduler,
+            epochs=2,
+            epoch_duration_s=5.0,
+        )
+        assert timeline.migration_name == "static"
+        assert timeline.total_moves() == 0
+        assert timeline.final_assignment == timeline.epochs[0].assignment
 
     def test_factory_and_validation(self):
         assert migration_policy("none") is None

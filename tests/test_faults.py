@@ -344,3 +344,20 @@ class TestRunsUnderFaults:
         )
         assert summary.epochs > 0
         assert 0.0 <= summary.mean_e_s <= 1.0
+
+    def test_api_rejects_a_plan_targeting_an_app_outside_the_mix(self):
+        import repro
+
+        config = repro.RunConfig(
+            strategy="arq",
+            duration_s=DURATION_S,
+            faults=FaultPlan(
+                faults=(
+                    LoadSpike(application="nosuchapp", start_s=1.0, duration_s=3.0),
+                )
+            ),
+        )
+        with pytest.raises(FaultError, match="nosuchapp"):
+            repro.run(config)
+        with pytest.raises(FaultError, match="nosuchapp"):
+            repro.compare(config, strategies=("arq",), jobs=1)

@@ -55,14 +55,11 @@ EXPECTED_PUBLIC_NAMES = {
     "Assignment",
     "BinPackingPlacement",
     "Datacenter",
-    "DatacenterResult",
     "DatacenterTimeline",
-    "EntropyAwarePlacement",
     "EntropyGuidedMigration",
     "MigrationPolicy",
     "Move",
     "Placement",
-    "RoundRobinPlacement",
     "ShardReport",
     "migration_policy",
     # datacenter chaos + recovery
